@@ -17,15 +17,15 @@ from typing import List, Optional, Sequence, Tuple
 
 from .compose import (
     DomainError,
+    RiskMatrix,
     additive_path_cost,
     evaluate_path,
-    evaluate_risk_matrix,
     monte_carlo_risk,
 )
 from .elements import ConfigError, RiskCategory, load_elements
 from .planner import SearchConfig, plan_additive_baseline, plan_min_risk
 from .render import render_svg
-from .tether import TetherError, tether_for_prefix
+from .tether import TetherError, TetherState, tether_for_prefix
 from .world import (
     GridMap,
     MapFormatError,
@@ -154,18 +154,36 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
     return out
 
 
+def _scored_tether(grid: GridMap, path: Path, elements) -> TetherState:
+    """Final tether as scored: anchored where the config's first traverse element says."""
+    anchor = next(
+        (dict(el.params).get("anchor") for el in elements if el.category is RiskCategory.TRAVERSE),
+        None,
+    )
+    try:
+        return tether_for_prefix(
+            grid, path.states, anchor=State(*anchor) if anchor is not None else None
+        )
+    except TetherError as exc:
+        raise _CliError(EXIT_VALIDATION, str(exc))
+
+
+def _locale_columns(matrix: RiskMatrix) -> RiskMatrix:
+    keep = [k for k, cat in enumerate(matrix.categories) if cat is RiskCategory.LOCALE]
+    return RiskMatrix(
+        element_names=tuple(matrix.element_names[k] for k in keep),
+        categories=tuple(matrix.categories[k] for k in keep),
+        values=matrix.values[:, keep],
+    )
+
+
 def cmd_eval(args) -> Tuple[int, str]:
     grid = _load_map_arg(args)
     elements = _load_config_arg(args)
     path = _checked(grid, _load_path_file(args.path, args.rc), args.path)
     report = evaluate_path(grid, path, elements)
     names = list(report.matrix.element_names)
-    tether = None
-    if args.tether:
-        try:
-            tether = tether_for_prefix(grid, path.states)
-        except TetherError as exc:
-            raise _CliError(EXIT_VALIDATION, str(exc))
+    tether = _scored_tether(grid, path, elements) if args.tether else None
     if args.format == "json":
         payload = {
             "elements": names,
@@ -228,7 +246,7 @@ def cmd_compare(args) -> Tuple[int, str]:
     entries = []
     for name, path in zip(args.path, paths):
         report = evaluate_path(grid, path, elements)
-        cost = additive_path_cost(evaluate_risk_matrix(grid, path, locale))
+        cost = additive_path_cost(_locale_columns(report.matrix))
         entries.append({"name": name, "risk": report.risk,
                         "finish_prob": report.finish_prob, "additive_cost": cost})
     risk_rank = [e["name"] for e in sorted(entries, key=lambda e: (e["risk"], e["name"]))]
@@ -359,12 +377,7 @@ def cmd_render(args) -> Tuple[int, str]:
     path = _checked(grid, _load_path_file(args.path, args.rc), args.path)
     report = evaluate_path(grid, path, elements)
     risks = [1.0 - float(f) for f in report.state_finish]
-    tether = None
-    if args.tether:
-        try:
-            tether = tether_for_prefix(grid, path.states)
-        except TetherError as exc:
-            raise _CliError(EXIT_VALIDATION, str(exc))
+    tether = _scored_tether(grid, path, elements) if args.tether else None
     svg = render_svg(
         grid,
         path=path,

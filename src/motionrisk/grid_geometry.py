@@ -18,24 +18,9 @@ DPoint = Tuple[int, int]  # doubled coordinates: (2*row, 2*col)
 FPoint = Tuple[float, float]
 
 
-def to_doubled(row: float, col: float) -> DPoint:
-    out = (round(2 * row), round(2 * col))
-    if abs(out[0] - 2 * row) > 1e-9 or abs(out[1] - 2 * col) > 1e-9:
-        raise ValueError(f"point ({row}, {col}) is not on the half-integer lattice")
-    return out
-
-
-def from_doubled(p: DPoint) -> FPoint:
-    return (p[0] / 2.0, p[1] / 2.0)
-
-
 def cross(o: DPoint, a: DPoint, b: DPoint) -> int:
     """Orientation of b relative to the directed line o->a (integer exact)."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def dist_sq(a: DPoint, b: DPoint) -> int:
-    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
 
 def euclid(a: DPoint, b: DPoint) -> float:
@@ -82,20 +67,6 @@ def segment_enters_cell(p: DPoint, q: DPoint, cell: Tuple[int, int]) -> bool:
     if hi_n > hi_d:
         hi_n, hi_d = 1, 1
     return lo_n * hi_d < hi_n * lo_d
-
-
-def cells_on_segment(p: DPoint, q: DPoint) -> List[Tuple[int, int]]:
-    """All cells whose interior the segment crosses, in scan order."""
-    r_lo = (min(p[0], q[0]) - 1) // 2
-    r_hi = (max(p[0], q[0]) + 1) // 2
-    c_lo = (min(p[1], q[1]) - 1) // 2
-    c_hi = (max(p[1], q[1]) + 1) // 2
-    out = []
-    for r in range(r_lo, r_hi + 1):
-        for c in range(c_lo, c_hi + 1):
-            if segment_enters_cell(p, q, (r, c)):
-                out.append((r, c))
-    return out
 
 
 def segment_blocked(p: DPoint, q: DPoint, unviable: Iterable[Tuple[int, int]]) -> bool:

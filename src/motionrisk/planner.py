@@ -21,10 +21,6 @@ from .tether import TetherState, advance_tether, start_tether
 from .world import GridMap, Path, State
 
 
-class InfeasibleError(RuntimeError):
-    """Raised only internally; planners report infeasibility in their result."""
-
-
 @dataclass(frozen=True)
 class SearchConfig(object):
     """What to plan: endpoints, step radius, size cap, and search mode."""

@@ -1,14 +1,19 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written from first principles with different
-algorithms than the library: plain loops instead of scipy, Fraction-based
-exact geometry instead of the integer-interval tests, and a homotopy-word
-Dijkstra instead of the incremental release/wrap tether update.
+algorithms than the library: plain loops instead of array transforms,
+Fraction-based exact geometry instead of the integer-interval tests, and a
+homotopy-word Dijkstra instead of the incremental release/wrap tether update.
+The one exception is `scan_ray_blocked`, which keeps the library's float cell
+test but scans each ray's bounding box in absolute coordinates on every
+query, where the library shifts a ray fan traced once from the origin.
 """
 
 import heapq
 import math
 from fractions import Fraction
+
+from motionrisk.grid_geometry import segment_enters_cell_f
 
 
 # ---------------------------------------------------------------------------
@@ -293,5 +298,31 @@ def sampled_ray_blocked(viable, origin, tip, samples=4000):
         if 0 <= cr < n_rows and 0 <= cc < n_cols and not viable[cr][cc]:
             # Strict interior only: skip samples sitting on a cell boundary.
             if abs(r - cr) < 0.5 - 1e-9 and abs(c - cc) < 0.5 - 1e-9:
+                return True
+    return False
+
+
+def scan_ray_blocked(viable, origin, tip):
+    """Check a ray by testing every unviable cell in its bounding box.
+
+    Same float cell test and grid-edge rule as the library, so the answer
+    must match visibility_fraction ray for ray, not just within sampling error.
+    """
+    n_rows = len(viable)
+    n_cols = len(viable[0])
+    r0, c0 = origin
+    r1, c1 = tip
+    eps = 1e-9
+    if not (-0.5 - eps <= r1 <= n_rows - 0.5 + eps):
+        return True
+    if not (-0.5 - eps <= c1 <= n_cols - 0.5 + eps):
+        return True
+    lo_r = int(math.floor(min(r0, r1) - 0.5))
+    hi_r = int(math.ceil(max(r0, r1) + 0.5))
+    lo_c = int(math.floor(min(c0, c1) - 0.5))
+    hi_c = int(math.ceil(max(c0, c1) + 0.5))
+    for r in range(max(lo_r, 0), min(hi_r, n_rows - 1) + 1):
+        for c in range(max(lo_c, 0), min(hi_c, n_cols - 1) + 1):
+            if not viable[r][c] and segment_enters_cell_f(origin, tip, (r, c)):
                 return True
     return False

@@ -1,10 +1,12 @@
 import json
+import re
 import shutil
 import subprocess
 
 import pytest
 
-from motionrisk.cli import main
+from motionrisk import State, load_map, render_svg, tether_for_prefix
+from motionrisk.cli import main, parse_path_text
 
 from conftest import FIXTURES
 
@@ -100,6 +102,39 @@ def test_eval_tether_report(run):
         "eval", "--map", MAP, "--config", CONFIG, "--path", LEFT, "--tether")
     assert "tether contacts:    (6.5, 4.5)" in out
     assert "tether taut length: 11.19" in out
+
+
+def test_tether_report_uses_the_configured_anchor(run, tmp_path):
+    # Anchored at (9, 2), the scored tether runs straight along row 9 with no
+    # contact; the start-anchored chain would wrap the pillar at (6.5, 4.5).
+    doc = json.loads((FIXTURES / "pillar_courtyard.config.json").read_text())
+    for el in doc["elements"]:
+        if el["name"] == "tether_contacts":
+            el["anchor"] = [9, 2]
+    config = tmp_path / "anchored.config.json"
+    config.write_text(json.dumps(doc))
+    code, out, _ = run(
+        "eval", "--map", MAP, "--config", str(config), "--path", LEFT,
+        "--tether", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert all(row[2] == 0.0 for row in report["matrix"])
+    assert report["tether"] == {"contacts": [], "taut_length": 8.0}
+    code, out, _ = run(
+        "eval", "--map", MAP, "--config", str(config), "--path", LEFT, "--tether")
+    assert "tether contacts:    none" in out
+
+    target = tmp_path / "anchored.svg"
+    code, _, _ = run(
+        "render", "--map", MAP, "--config", str(config), "--path", LEFT,
+        "--tether", "--svg-out", str(target))
+    assert code == 0
+    grid = load_map((FIXTURES / "pillar_courtyard.map").read_text())
+    path = parse_path_text((FIXTURES / "pillar_courtyard_left.path").read_text())
+    scored = render_svg(
+        grid, tether=tether_for_prefix(grid, path.states, anchor=State(9, 2)), title="x")
+    polyline = re.compile(r"<polyline [^>]*/>")
+    assert polyline.findall(target.read_text()) == polyline.findall(scored)
 
 
 def test_eval_missing_file_is_a_parse_error(run, tmp_path):

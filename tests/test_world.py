@@ -20,7 +20,7 @@ from motionrisk import (
 )
 
 from conftest import fixture_map, random_grid
-from oracles import brute_distance_field, sampled_ray_blocked
+from oracles import brute_distance_field, sampled_ray_blocked, scan_ray_blocked
 
 SQ2 = math.sqrt(2.0)
 
@@ -151,6 +151,33 @@ def test_distance_transform_matches_brute_force(seed):
                 assert np.isinf(got[r, c])
             else:
                 assert got[r, c] == pytest.approx(want[r][c], abs=1e-9)
+
+
+def _seeded_viable(rng, n_rows, n_cols, p_block):
+    return np.random.RandomState(rng.randrange(2**32)).random_sample((n_rows, n_cols)) >= p_block
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_distance_transform_equals_scipy(seed):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = random.Random(4400 + seed)
+    sizes = [1, 2, 3, 7, 16, 64, 300]
+    for trial in range(60):
+        n_rows, n_cols = rng.choice(sizes), rng.choice(sizes)
+        if trial % 10 == 0:
+            n_rows, n_cols = 1, rng.randint(1, 300)
+        if trial % 10 == 1:
+            n_rows = n_cols = 300
+        viable = _seeded_viable(rng, n_rows, n_cols, rng.choice([0.001, 0.02, 0.2, 0.6, 1.0]))
+        if trial % 10 == 2:  # a single obstacle in an open map
+            viable = np.ones((n_rows, n_cols), dtype=bool)
+            viable[rng.randrange(n_rows), rng.randrange(n_cols)] = False
+        if viable.all():
+            continue
+        cell = rng.choice([1.0, 0.25, 2.5])
+        got = distance_transform(GridMap(viable, cell_size=cell))
+        want = ndimage.distance_transform_edt(viable) * cell
+        assert np.array_equal(got, want), (n_rows, n_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -313,3 +340,33 @@ def test_visibility_matches_sampled_rays(seed):
     want = clear / ray_count
     # dense sampling can disagree on rays that exactly graze a corner
     assert abs(got - want) <= 2.0 / ray_count + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_visibility_equals_the_bounding_box_scan(seed):
+    # The ray fan traverses each ray once from (0, 0); the scan tests every
+    # cell near the ray in absolute coordinates.  They must agree exactly.
+    rng = random.Random(9100 + seed)
+    sizes = [1, 2, 3, 5, 9, 16, 40, 100, 300]
+    queries = 0
+    while queries < 256:
+        viable = _seeded_viable(rng, rng.choice(sizes), rng.choice(sizes), rng.uniform(0.0, 0.4))
+        if not viable.any():
+            continue
+        g = GridMap(viable)
+        rows = viable.tolist()
+        free_r, free_c = np.nonzero(viable)
+        for _ in range(8):
+            i = rng.randrange(len(free_r))
+            s = State(int(free_r[i]), int(free_c[i]))
+            radius = rng.choice([0.5, 2.5, 5.0, rng.uniform(0.2, 8.0)])
+            ray_count = rng.choice([4, 7, 16, 32, 64])
+            origin = (float(s.row), float(s.col))
+            clear = sum(
+                not scan_ray_blocked(rows, origin, (s.row + radius * dr, s.col + radius * dc))
+                for dr, dc in ray_directions(ray_count)
+            )
+            assert visibility_fraction(g, s, radius=radius, ray_count=ray_count) == (
+                clear / ray_count
+            ), (viable.shape, s, radius, ray_count)
+            queries += 1
