@@ -25,6 +25,7 @@ from .elements import (
     RiskCategory,
     RiskElement,
     RiskMapping,
+    TetherReader,
     action_length_risk,
     dump_elements,
     load_elements,
@@ -86,6 +87,7 @@ __all__ = [
     "SearchConfig",
     "State",
     "TetherError",
+    "TetherReader",
     "TetherState",
     "action_length_risk",
     "additive_path_cost",

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .compose import (
     DomainError,
+    PathRiskReport,
     RiskMatrix,
     additive_path_cost,
     evaluate_path,
@@ -33,7 +34,6 @@ from .world import (
     PathValidationError,
     State,
     load_map,
-    require_valid_path,
 )
 
 EXIT_OK = 0
@@ -101,12 +101,12 @@ def _load_path_file(name: str, r_c: float) -> Path:
         raise _CliError(EXIT_PARSE, f"{name}: {exc}")
 
 
-def _checked(grid: GridMap, path: Path, name: str) -> Path:
+def _evaluated(grid: GridMap, path: Path, elements, name: str) -> PathRiskReport:
+    """evaluate_path, which validates the path; an invalid one names its file."""
     try:
-        require_valid_path(grid, path)
+        return evaluate_path(grid, path, elements)
     except PathValidationError as exc:
         raise _CliError(EXIT_VALIDATION, f"{name}: {exc}")
-    return path
 
 
 def _parse_state(text: str, flag: str) -> State:
@@ -155,15 +155,10 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
 
 
 def _scored_tether(grid: GridMap, path: Path, elements) -> TetherState:
-    """Final tether as scored: anchored where the config's first traverse element says."""
-    anchor = next(
-        (dict(el.params).get("anchor") for el in elements if el.category is RiskCategory.TRAVERSE),
-        None,
-    )
+    """Final tether as scored: anchored where the first tether reader says."""
+    reader = next((el.tether for el in elements if el.tether is not None), None)
     try:
-        return tether_for_prefix(
-            grid, path.states, anchor=State(*anchor) if anchor is not None else None
-        )
+        return tether_for_prefix(grid, path.states, anchor=reader.anchor if reader else None)
     except TetherError as exc:
         raise _CliError(EXIT_VALIDATION, str(exc))
 
@@ -180,8 +175,8 @@ def _locale_columns(matrix: RiskMatrix) -> RiskMatrix:
 def cmd_eval(args) -> Tuple[int, str]:
     grid = _load_map_arg(args)
     elements = _load_config_arg(args)
-    path = _checked(grid, _load_path_file(args.path, args.rc), args.path)
-    report = evaluate_path(grid, path, elements)
+    path = _load_path_file(args.path, args.rc)
+    report = _evaluated(grid, path, elements, args.path)
     names = list(report.matrix.element_names)
     tether = _scored_tether(grid, path, elements) if args.tether else None
     if args.format == "json":
@@ -237,15 +232,13 @@ def cmd_compare(args) -> Tuple[int, str]:
     elements = _load_config_arg(args)
     if len(args.path) < 2:
         raise _CliError(EXIT_USAGE, "compare needs at least two --path files")
-    paths = [
-        _checked(grid, _load_path_file(name, args.rc), name) for name in args.path
-    ]
+    paths = [_load_path_file(name, args.rc) for name in args.path]
     locale = [e for e in elements if e.category is RiskCategory.LOCALE]
     if not locale:
         raise _CliError(EXIT_VALIDATION, "config has no locale elements for the additive baseline")
     entries = []
     for name, path in zip(args.path, paths):
-        report = evaluate_path(grid, path, elements)
+        report = _evaluated(grid, path, elements, name)
         cost = additive_path_cost(_locale_columns(report.matrix))
         entries.append({"name": name, "risk": report.risk,
                         "finish_prob": report.finish_prob, "additive_cost": cost})
@@ -335,8 +328,8 @@ def cmd_plan(args) -> Tuple[int, str]:
 def cmd_simulate(args) -> Tuple[int, str]:
     grid = _load_map_arg(args)
     elements = _load_config_arg(args)
-    path = _checked(grid, _load_path_file(args.path, args.rc), args.path)
-    report = evaluate_path(grid, path, elements)
+    path = _load_path_file(args.path, args.rc)
+    report = _evaluated(grid, path, elements, args.path)
     try:
         mc = monte_carlo_risk(report.matrix, trials=args.trials, seed=args.seed)
     except DomainError as exc:
@@ -374,8 +367,8 @@ def cmd_simulate(args) -> Tuple[int, str]:
 def cmd_render(args) -> Tuple[int, str]:
     grid = _load_map_arg(args)
     elements = _load_config_arg(args)
-    path = _checked(grid, _load_path_file(args.path, args.rc), args.path)
-    report = evaluate_path(grid, path, elements)
+    path = _load_path_file(args.path, args.rc)
+    report = _evaluated(grid, path, elements, args.path)
     risks = [1.0 - float(f) for f in report.state_finish]
     tether = _scored_tether(grid, path, elements) if args.tether else None
     svg = render_svg(

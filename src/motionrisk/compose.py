@@ -9,12 +9,13 @@ log domain so long paths of small risks keep full precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .elements import RiskCategory, RiskElement
-from .world import GridMap, Path, require_valid_path
+from .tether import TetherState, advance_tether, start_tether
+from .world import GridMap, Path, State, require_valid_path
 
 
 class DomainError(ValueError):
@@ -51,8 +52,13 @@ class RiskMatrix(object):
         return self.values[:, self.element_names.index(name)]
 
     def state_finish_probs(self) -> np.ndarray:
-        """Per-state probability that every element passes."""
-        return np.array([state_finish_prob(row) for row in self.values])
+        """Per-state probability that every element passes.
+
+        One log-domain reduction per row, as state_finish_prob makes: a row
+        holding 1.0 sums to -inf and finishes with probability 0.
+        """
+        with np.errstate(divide="ignore"):
+            return np.exp(np.log1p(-self.values).sum(axis=1))
 
 
 def state_finish_prob(element_risks: Sequence[float]) -> float:
@@ -80,25 +86,85 @@ def path_risk(matrix: RiskMatrix) -> float:
     return 1.0 - path_finish_prob(matrix)
 
 
+Carry = Tuple[Tuple[TetherState, ...], Tuple[State, ...]]
+
+
+class RowFold(object):
+    """Evaluates a path one state at a time from a carried summary of its prefix.
+
+    The carry is (tethers, recent).  `tethers` holds one TetherState per
+    distinct anchor among the elements' tether readers, advanced once per
+    state and read by every element with that anchor.  `recent` holds the
+    states the other elements see: the last three, which covers the locale
+    and action windows, or the whole prefix when a traverse element without
+    a tether reader needs it.  RiskElement.evaluate cuts each category's
+    window from it, so every entry equals evaluating the element on the full
+    prefix.
+    """
+
+    def __init__(self, grid: GridMap, elements: Sequence[RiskElement]):
+        self.grid = grid
+        self.elements = tuple(elements)
+        anchors: List[Optional[State]] = []
+        slots: List[Optional[int]] = []
+        for el in self.elements:
+            if el.tether is None:
+                slots.append(None)
+                continue
+            if el.tether.anchor not in anchors:
+                anchors.append(el.tether.anchor)
+            slots.append(anchors.index(el.tether.anchor))
+        self._anchors = tuple(anchors)
+        self._slots = tuple(slots)
+        whole_prefix = any(
+            el.category is RiskCategory.TRAVERSE and el.tether is None for el in self.elements
+        )
+        # States of `recent` kept before the new one is appended; None keeps all.
+        self._keep = None if whole_prefix else 2
+
+    def start(self, s0: State) -> Tuple[Carry, List[float]]:
+        tethers = tuple(start_tether(self.grid, s0, anchor=a) for a in self._anchors)
+        return self._row(tethers, (s0,))
+
+    def step(self, carry: Carry, s: State) -> Tuple[Carry, List[float]]:
+        tethers, recent = carry
+        tethers = tuple(advance_tether(self.grid, tet, s) for tet in tethers)
+        if self._keep is not None:
+            recent = recent[-self._keep:]
+        return self._row(tethers, recent + (s,))
+
+    def _row(
+        self, tethers: Tuple[TetherState, ...], recent: Tuple[State, ...]
+    ) -> Tuple[Carry, List[float]]:
+        grid = self.grid
+        row = [
+            el.evaluate(grid, recent) if slot is None else el.read_tether(grid, tethers[slot])
+            for el, slot in zip(self.elements, self._slots)
+        ]
+        return (tethers, recent), row
+
+
 def evaluate_risk_matrix(
     grid: GridMap, path: Path, elements: Sequence[RiskElement]
 ) -> RiskMatrix:
     """Evaluate every element on every prefix of a validated path.
 
-    Entry (i, k) sees only the history its element's category permits.
+    Entry (i, k) sees only the history its element's category permits.  The
+    rows come from one RowFold pass, so each tether is advanced once per state.
     """
     if not elements:
         raise ValueError("at least one risk element is required")
     require_valid_path(grid, path)
-    values = np.zeros((len(path), len(elements)))
-    for i in range(len(path)):
-        prefix = path.states[: i + 1]
-        for k, el in enumerate(elements):
-            values[i, k] = el.evaluate(grid, prefix)
+    fold = RowFold(grid, elements)
+    carry, row = fold.start(path.states[0])
+    rows = [row]
+    for s in path.states[1:]:
+        carry, row = fold.step(carry, s)
+        rows.append(row)
     return RiskMatrix(
         element_names=tuple(e.name for e in elements),
         categories=tuple(e.category for e in elements),
-        values=values,
+        values=np.array(rows, dtype=float),
     )
 
 

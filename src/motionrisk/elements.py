@@ -8,8 +8,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from .tether import TetherState, tether_for_prefix
 from .world import GridMap, State
 
 
@@ -78,6 +79,18 @@ class RiskMapping(object):
         return {"kind": self.kind, "knots": [list(k) for k in self.knots]}
 
 
+class TetherReader(NamedTuple):
+    """How a traverse element reads the taut tether instead of the prefix.
+
+    An element that depends on its prefix only through the tether declares
+    one, so an evaluator can advance a single TetherState per anchor and state
+    and hand it to every element that shares the anchor.
+    """
+
+    anchor: Optional[State]  # None: anchored at the first state
+    hazard: Callable[[GridMap, TetherState], float]
+
+
 @dataclass(frozen=True)
 class RiskElement(object):
     """A named risk source evaluated over a traverse prefix."""
@@ -86,6 +99,11 @@ class RiskElement(object):
     category: RiskCategory
     params: Tuple[Tuple[str, object], ...]
     fn: Callable[[GridMap, Tuple[State, ...]], float]
+    tether: Optional[TetherReader] = None
+
+    def __post_init__(self):
+        if self.tether is not None and self.category is not RiskCategory.TRAVERSE:
+            raise ValueError(f"element {self.name!r}: only traverse elements read the tether")
 
     def evaluate(self, grid: GridMap, prefix: Sequence[State]) -> float:
         states = tuple(prefix)
@@ -94,7 +112,13 @@ class RiskElement(object):
         depth = self.category.history_depth
         if depth is not None:
             states = states[-(depth + 1):]
-        value = self.fn(grid, states)
+        return self._checked(self.fn(grid, states))
+
+    def read_tether(self, grid: GridMap, tether: TetherState) -> float:
+        """The hazard of the tether reader on the taut tether of the prefix."""
+        return self._checked(self.tether.hazard(grid, tether))
+
+    def _checked(self, value: float) -> float:
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"element {self.name!r} produced {value} outside [0, 1]")
         return value
@@ -157,30 +181,39 @@ def turn_risk(coeff: float = 0.04 / math.sqrt(2)) -> RiskElement:
     return RiskElement("turn", RiskCategory.ACTION, (("coeff", coeff),), fn)
 
 
-def tether_length_risk(coeff: float = 0.01, anchor: Optional[State] = None) -> RiskElement:
-    """Traverse element: proportional to the taut tether length."""
-    from .tether import tether_for_prefix
+def _tether_element(
+    name: str,
+    params: Tuple[Tuple[str, object], ...],
+    anchor: Optional[State],
+    hazard: Callable[[GridMap, TetherState], float],
+) -> RiskElement:
+    """Traverse element that reads only the taut tether; its `fn` folds the
+    prefix into a tether and applies the same hazard."""
 
     def fn(grid: GridMap, states: Tuple[State, ...]) -> float:
-        tet = tether_for_prefix(grid, states, anchor=anchor)
+        return hazard(grid, tether_for_prefix(grid, states, anchor=anchor))
+
+    if anchor is not None:
+        params += (("anchor", list(anchor.as_tuple())),)
+    return RiskElement(name, RiskCategory.TRAVERSE, params, fn, TetherReader(anchor, hazard))
+
+
+def tether_length_risk(coeff: float = 0.01, anchor: Optional[State] = None) -> RiskElement:
+    """Traverse element: proportional to the taut tether length."""
+
+    def hazard(grid: GridMap, tet: TetherState) -> float:
         return min(1.0, coeff * tet.taut_length * grid.cell_size)
 
-    params = (("coeff", coeff),) + ((("anchor", list(anchor.as_tuple())),) if anchor else ())
-    return RiskElement("tether_length", RiskCategory.TRAVERSE, params, fn)
+    return _tether_element("tether_length", (("coeff", coeff),), anchor, hazard)
 
 
 def tether_contact_risk(per_contact: float = 0.03, anchor: Optional[State] = None) -> RiskElement:
     """Traverse element: proportional to the number of taut-tether contacts."""
-    from .tether import tether_for_prefix
 
-    def fn(grid: GridMap, states: Tuple[State, ...]) -> float:
-        tet = tether_for_prefix(grid, states, anchor=anchor)
-        return min(1.0, per_contact * len(tet.contacts))
+    def hazard(grid: GridMap, tet: TetherState) -> float:
+        return min(1.0, per_contact * tet.contact_count)
 
-    params = (("per_contact", per_contact),) + (
-        (("anchor", list(anchor.as_tuple())),) if anchor else ()
-    )
-    return RiskElement("tether_contacts", RiskCategory.TRAVERSE, params, fn)
+    return _tether_element("tether_contacts", (("per_contact", per_contact),), anchor, hazard)
 
 
 def _mapping_from_doc(doc: Mapping) -> RiskMapping:

@@ -13,11 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .compose import evaluate_path
+from .compose import RowFold, evaluate_path
 from .elements import RiskCategory, RiskElement
-from .tether import TetherState, advance_tether, start_tether
 from .world import GridMap, Path, State
 
 
@@ -60,58 +57,6 @@ def moves_within(r_c: float) -> List[Tuple[int, int]]:
     return sorted(out)
 
 
-class _RowEvaluator(object):
-    """Evaluates one matrix row at a time, carrying tether chains forward so
-    traverse elements do not refold the whole prefix at every expansion."""
-
-    def __init__(self, grid: GridMap, elements: Sequence[RiskElement]):
-        self.grid = grid
-        self.elements = list(elements)
-        self.tether_specs = []  # (element index, kind, coeff, anchor)
-        for idx, el in enumerate(self.elements):
-            params = dict(el.params)
-            if el.name == "tether_length" and el.category is RiskCategory.TRAVERSE:
-                anchor = params.get("anchor")
-                self.tether_specs.append(
-                    (idx, "length", float(params["coeff"]), State(*anchor) if anchor else None)
-                )
-            elif el.name == "tether_contacts" and el.category is RiskCategory.TRAVERSE:
-                anchor = params.get("anchor")
-                self.tether_specs.append(
-                    (idx, "contacts", float(params["per_contact"]), State(*anchor) if anchor else None)
-                )
-
-    def _tether_value(self, kind: str, coeff: float, tet: TetherState) -> float:
-        if kind == "length":
-            return min(1.0, coeff * tet.taut_length * self.grid.cell_size)
-        return min(1.0, coeff * len(tet.contacts))
-
-    def initial(self, start: State):
-        carries = tuple(
-            start_tether(self.grid, start, anchor=anchor) for _, _, _, anchor in self.tether_specs
-        )
-        row = self._row((start,), carries)
-        return carries, row
-
-    def extend(self, prefix: Tuple[State, ...], carries, nxt: State):
-        new_carries = tuple(advance_tether(self.grid, tet, nxt) for tet in carries)
-        row = self._row(prefix + (nxt,), new_carries)
-        return new_carries, row
-
-    def _row(self, prefix: Tuple[State, ...], carries) -> List[float]:
-        by_index = {
-            spec[0]: self._tether_value(spec[1], spec[2], tet)
-            for spec, tet in zip(self.tether_specs, carries)
-        }
-        row = []
-        for idx, el in enumerate(self.elements):
-            if idx in by_index:
-                row.append(by_index[idx])
-            else:
-                row.append(el.evaluate(self.grid, prefix))
-        return row
-
-
 def _row_log_finish(row: Sequence[float]) -> float:
     total = 0.0
     for r in row:
@@ -151,10 +96,10 @@ def plan_min_risk(
             return PlanResult(False, None, None, f"endpoint ({s.row}, {s.col}) is not viable")
     if config.mode == "beam":
         return _plan_beam(grid, elements, config)
-    evaluator = _RowEvaluator(grid, elements)
+    fold = RowFold(grid, elements)
     moves = moves_within(config.r_c)
     reach = max(1, int(math.floor(config.r_c + 1e-9)))
-    carries0, row0 = evaluator.initial(config.start)
+    carry0, row0 = fold.start(config.start)
     best: List[Optional[Tuple]] = [None]  # (risk, length, states, log_finish)
 
     def consider(states: Tuple[State, ...], log_finish: float):
@@ -163,7 +108,7 @@ def plan_min_risk(
         if best[0] is None or key < best[0][:3]:
             best[0] = key + (log_finish,)
 
-    def dfs(states: Tuple[State, ...], carries, log_finish: float, visited):
+    def dfs(states: Tuple[State, ...], carry, log_finish: float, visited):
         # Appending states can only shrink the finish probability, so a prefix
         # already strictly riskier than the incumbent is hopeless.  Equal-risk
         # prefixes survive: they may still win a tie on length or order.
@@ -181,14 +126,14 @@ def plan_min_risk(
                 continue
             if 1 + _steps_lower_bound(nxt, config.goal, reach) > budget:
                 continue
-            new_carries, row = evaluator.extend(states, carries, nxt)
+            new_carry, row = fold.step(carry, nxt)
             new_log = log_finish + _row_log_finish(row)
             visited.add(nxt)
-            dfs(states + (nxt,), new_carries, new_log, visited)
+            dfs(states + (nxt,), new_carry, new_log, visited)
             visited.remove(nxt)
 
     if _steps_lower_bound(config.start, config.goal, reach) <= config.max_states - 1:
-        dfs((config.start,), carries0, _row_log_finish(row0), {config.start})
+        dfs((config.start,), carry0, _row_log_finish(row0), {config.start})
     if best[0] is None:
         return PlanResult(False, None, None, "no path to the goal within max_states")
     path = Path(tuple(State(r, c) for r, c in best[0][2]), r_c=config.r_c)
@@ -199,12 +144,12 @@ def plan_min_risk(
 def _plan_beam(
     grid: GridMap, elements: Sequence[RiskElement], config: SearchConfig
 ) -> PlanResult:
-    evaluator = _RowEvaluator(grid, elements)
+    fold = RowFold(grid, elements)
     moves = moves_within(config.r_c)
     reach = max(1, int(math.floor(config.r_c + 1e-9)))
-    carries0, row0 = evaluator.initial(config.start)
-    # Beam entries: (state tuple, carries, log_finish); completed kept aside.
-    frontier = [((config.start,), carries0, _row_log_finish(row0))]
+    carry0, row0 = fold.start(config.start)
+    # Beam entries: (state tuple, fold carry, log_finish); completed kept aside.
+    frontier = [((config.start,), carry0, _row_log_finish(row0))]
     done: List[Tuple] = []
 
     def key(entry):
@@ -213,7 +158,7 @@ def _plan_beam(
 
     while frontier:
         grown = []
-        for states, carries, log_finish in frontier:
+        for states, carry, log_finish in frontier:
             if states[-1] == config.goal:
                 done.append((1.0 - math.exp(log_finish), len(states),
                              tuple(s.as_tuple() for s in states)))
@@ -227,8 +172,8 @@ def _plan_beam(
                 # Keep only prefixes that can still reach the goal in time.
                 if 1 + _steps_lower_bound(nxt, config.goal, reach) > budget:
                     continue
-                new_carries, row = evaluator.extend(states, carries, nxt)
-                grown.append((states + (nxt,), new_carries, log_finish + _row_log_finish(row)))
+                new_carry, row = fold.step(carry, nxt)
+                grown.append((states + (nxt,), new_carry, log_finish + _row_log_finish(row)))
         grown.sort(key=key)
         frontier = grown[: config.beam_width]
     if not done:

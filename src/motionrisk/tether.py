@@ -61,6 +61,11 @@ class TetherState(object):
         return tuple((p[0] / 2.0, p[1] / 2.0) for p in self.chain[1:-1])
 
     @property
+    def contact_count(self) -> int:
+        """len(contacts), without building them."""
+        return max(0, len(self.chain) - 2)
+
+    @property
     def taut_length(self) -> float:
         """Length of the taut chain, in cell units."""
         return sum(euclid(a, b) for a, b in zip(self.chain, self.chain[1:]))

@@ -111,20 +111,22 @@ def load_map(text: str, cell_size: float = 1.0) -> GridMap:
     if not rows:
         raise MapFormatError("map document contains no rows")
     width = len(rows[0])
-    grid = np.zeros((len(rows), width), dtype=bool)
-    for r, line in enumerate(rows):
-        if len(line) != width:
-            raise MapFormatError(
-                f"row {r} has length {len(line)}, expected {width} (rows must be equal length)"
-            )
-        for c, ch in enumerate(line):
-            if ch == VIABLE_CHAR:
-                grid[r, c] = True
-            elif ch == UNVIABLE_CHAR:
-                grid[r, c] = False
-            else:
-                raise MapFormatError(f"unknown map character {ch!r} at row {r}, col {c}")
-    return GridMap(grid, cell_size=cell_size)
+    # Errors read as a row-by-row scan would find them: a bad character in a
+    # row before the first row of the wrong length is reported first.
+    n_ok = next((r for r, line in enumerate(rows) if len(line) != width), len(rows))
+    codes = np.frombuffer(
+        "".join(rows[:n_ok]).encode("utf-32-le", "surrogatepass"), dtype="<u4"
+    ).reshape(n_ok, width)
+    viable = codes == ord(VIABLE_CHAR)
+    known = viable | (codes == ord(UNVIABLE_CHAR))
+    if not known.all():
+        r, c = divmod(int(np.argmin(known)), width)
+        raise MapFormatError(f"unknown map character {rows[r][c]!r} at row {r}, col {c}")
+    if n_ok < len(rows):
+        raise MapFormatError(
+            f"row {n_ok} has length {len(rows[n_ok])}, expected {width} (rows must be equal length)"
+        )
+    return GridMap(viable, cell_size=cell_size)
 
 
 def dump_map(grid: GridMap) -> str:

@@ -113,3 +113,14 @@ def random_walk(grid: GridMap, rng: random.Random, n_steps: int,
         cur = rng.choice(moves)
         walk.append(State(*cur))
     return walk
+
+
+def count_calls(monkeypatch, owner, name: str, counts: dict, key: str) -> None:
+    """Replace owner.name with a wrapper that adds one to counts[key] per call."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)

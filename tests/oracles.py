@@ -4,9 +4,11 @@ Everything here is deliberately written from first principles with different
 algorithms than the library: plain loops instead of array transforms,
 Fraction-based exact geometry instead of the integer-interval tests, and a
 homotopy-word Dijkstra instead of the incremental release/wrap tether update.
-The one exception is `scan_ray_blocked`, which keeps the library's float cell
+The exceptions are `scan_ray_blocked`, which keeps the library's float cell
 test but scans each ray's bounding box in absolute coordinates on every
-query, where the library shifts a ray fan traced once from the origin.
+query, where the library shifts a ray fan traced once from the origin, and
+`prefix_risk_matrix`, which calls each element on every whole prefix, where
+the library folds the path once.
 """
 
 import heapq
@@ -242,6 +244,23 @@ def canonical_chain(chain):
         out.append(pts[i])
         i += 1
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Risk matrix: every element on every whole prefix
+
+
+def prefix_risk_matrix(grid, path, elements):
+    """Rows of element values, entry (i, k) = elements[k] on states[:i + 1].
+
+    Each element gets the full prefix and cuts its own window; a tether
+    element refolds its tether from the first state for every prefix.
+    """
+    states = tuple(path.states)
+    return [
+        [el.evaluate(grid, states[: i + 1]) for el in elements]
+        for i in range(len(states))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,23 @@ def test_tether_report_uses_the_configured_anchor(run, tmp_path):
     assert polyline.findall(target.read_text()) == polyline.findall(scored)
 
 
+def test_tether_report_uses_the_first_tether_readers_anchor(run, tmp_path):
+    # The anchor sits on tether_length, the first tether element; the report
+    # must follow it, not the unanchored tether_contacts after it.
+    doc = json.loads((FIXTURES / "pillar_courtyard.config.json").read_text())
+    doc["elements"].insert(0, {"name": "tether_length", "coeff": 0.01, "anchor": [9, 2]})
+    config = tmp_path / "length_anchored.config.json"
+    config.write_text(json.dumps(doc))
+    code, out, _ = run(
+        "eval", "--map", MAP, "--config", str(config), "--path", LEFT,
+        "--tether", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["tether"] == {"contacts": [], "taut_length": 8.0}
+    assert report["elements"][0] == "tether_length"
+    assert report["matrix"][-1][0] == 0.08  # 0.01 per cell of the 8-cell chain
+
+
 def test_eval_missing_file_is_a_parse_error(run, tmp_path):
     code, out, err = run(
         "eval", "--map", str(tmp_path / "nope.map"), "--config", CONFIG, "--path", LEFT)
@@ -218,6 +235,15 @@ def test_compare_agreement(run):
         "compare", "--map", MAP, "--config", CONFIG,
         "--path", LEFT_TO_PILLAR, "--path", RIGHT)
     assert "rankings agree" in out and "WARNING" not in out
+
+
+def test_compare_names_the_invalid_path(run, tmp_path):
+    hop = tmp_path / "hop.path"
+    hop.write_text("2 2\n2 4\n")
+    code, out, err = run(
+        "compare", "--map", MAP, "--config", CONFIG, "--path", LEFT, "--path", str(hop))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"{hop}: step into state 1 spans 2.000 cells")
 
 
 def test_compare_needs_two_paths(run):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -9,17 +10,29 @@ from motionrisk import (
     MonteCarloResult,
     PathValidationError,
     RiskCategory,
+    RiskElement,
+    RiskMapping,
     RiskMatrix,
     State,
     Path,
+    TetherError,
+    action_length_risk,
     additive_path_cost,
     evaluate_path,
     evaluate_risk_matrix,
     monte_carlo_risk,
+    obstacle_distance_risk,
     path_finish_prob,
     path_risk,
     state_finish_prob,
+    tether_contact_risk,
+    tether_length_risk,
+    turn_risk,
 )
+from motionrisk import compose, elements as elements_module
+
+from conftest import count_calls, random_grid, random_walk
+from oracles import prefix_risk_matrix
 
 # Frozen expectations for the courtyard left route.  Derived independently:
 # distances and contacts counted on the map drawing, each row multiplied out
@@ -107,6 +120,18 @@ def test_matrix_accessors():
     assert m.state_finish_probs() == pytest.approx([0.9 * 0.8, 0.5])
 
 
+def test_state_finish_probs_equal_the_scalar_rows():
+    rng = np.random.default_rng(4100)
+    for _ in range(300):
+        n, k = rng.integers(1, 40), rng.integers(1, 12)
+        values = rng.uniform(0.0, 1.0, size=(n, k)) ** rng.uniform(0.2, 5.0)
+        values[rng.uniform(size=(n, k)) < 0.05] = 1.0
+        values[rng.uniform(size=(n, k)) < 0.2] = 0.0
+        m = _matrix(values)
+        expected = [state_finish_prob(row) for row in m.values]
+        assert m.state_finish_probs().tolist() == expected
+
+
 def test_matrix_is_read_only():
     m = _matrix([[0.1]])
     with pytest.raises(ValueError):
@@ -182,6 +207,102 @@ def test_evaluate_rejects_bad_input(courtyard_grid, courtyard_elements, courtyar
     bad = Path((State(2, 2), State(6, 5)))
     with pytest.raises(PathValidationError):
         evaluate_risk_matrix(courtyard_grid, bad, courtyard_elements)
+
+
+# ---------------------------------------------------------------------------
+# The row fold against the per-prefix evaluation
+
+
+def _prefix_probe():
+    """Traverse element with no tether reader: it needs the whole prefix."""
+
+    def fn(grid, states):
+        return min(1.0, 0.004 * len(states) + 0.1 * len(set(states)) / len(states))
+
+    return RiskElement("probe", RiskCategory.TRAVERSE, (), fn)
+
+
+def _sweep_elements(rng, walk, viable):
+    def anchor():
+        pick = rng.random()
+        if pick < 0.3:
+            return None
+        if pick < 0.45:
+            return walk[0]
+        return State(*rng.choice(viable))
+
+    first = anchor()
+    second = first if rng.random() < 0.5 else anchor()
+    mapping = RiskMapping("piecewise-linear", ((1.0, rng.uniform(0.05, 0.3)), (2.5, 0.0)))
+    els = [
+        obstacle_distance_risk(mapping),
+        action_length_risk(rng.uniform(0.0, 0.05)),
+        turn_risk(rng.uniform(0.0, 0.05)),
+        tether_length_risk(rng.uniform(0.001, 0.05), anchor=first),
+        tether_contact_risk(rng.uniform(0.01, 0.3), anchor=second),
+    ]
+    if rng.random() < 0.5:
+        els.append(_prefix_probe())
+    rng.shuffle(els)
+    return els
+
+
+def test_fold_equals_the_per_prefix_evaluation():
+    # Random maps, king-move walks and anchors: shared and separate anchors,
+    # anchors without line of sight, and a prefix-reading probe element.
+    rng = random.Random(6600)
+    compared = refused = 0
+    while compared < 240:
+        g = random_grid(rng, rng.randint(3, 9), rng.randint(3, 9),
+                        p_block=rng.uniform(0.05, 0.3))
+        walk = random_walk(g, rng, n_steps=rng.randint(0, 15), clear_step=lambda a, b: True)
+        if walk is None:
+            continue
+        viable = [(r, c) for r in range(g.n_rows) for c in range(g.n_cols)
+                  if g.is_viable(r, c)]
+        els = _sweep_elements(rng, walk, viable)
+        path = Path(tuple(walk))
+        try:
+            expected = prefix_risk_matrix(g, path, els)
+        except TetherError as exc:
+            with pytest.raises(TetherError, match=re.escape(str(exc))):
+                evaluate_risk_matrix(g, path, els)
+            refused += 1
+            continue
+        got = evaluate_risk_matrix(g, path, els)
+        assert got.values.tolist() == expected
+        assert got.element_names == tuple(e.name for e in els)
+        compared += 1
+    assert refused > 0
+
+
+def _counting(monkeypatch):
+    counts = {"start": 0, "advance": 0, "refold": 0}
+    count_calls(monkeypatch, compose, "start_tether", counts, "start")
+    count_calls(monkeypatch, compose, "advance_tether", counts, "advance")
+    count_calls(monkeypatch, elements_module, "tether_for_prefix", counts, "refold")
+    return counts
+
+
+def test_fold_advances_each_anchor_once_per_state(monkeypatch, courtyard_grid, courtyard_left):
+    counts = _counting(monkeypatch)
+    n = len(courtyard_left)
+    shared = [tether_length_risk(0.01), turn_risk(), tether_contact_risk(0.03)]
+    evaluate_risk_matrix(courtyard_grid, courtyard_left, shared)
+    assert counts == {"start": 1, "advance": n - 1, "refold": 0}
+
+    counts.update(start=0, advance=0)
+    split = [tether_length_risk(0.01), tether_contact_risk(0.03, anchor=State(9, 2))]
+    evaluate_risk_matrix(courtyard_grid, courtyard_left, split)
+    assert counts == {"start": 2, "advance": 2 * (n - 1), "refold": 0}
+
+
+def test_fold_checks_tether_hazards(courtyard_grid, courtyard_left):
+    el = tether_length_risk(0.01)
+    bad = RiskElement("bad", RiskCategory.TRAVERSE, (), el.fn,
+                      el.tether._replace(hazard=lambda grid, tet: 1.5))
+    with pytest.raises(ValueError, match="'bad' produced 1.5 outside"):
+        evaluate_risk_matrix(courtyard_grid, courtyard_left, [bad])
 
 
 # ---------------------------------------------------------------------------

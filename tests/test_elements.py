@@ -15,6 +15,7 @@ from motionrisk import (
     load_map,
     obstacle_distance_risk,
     tether_contact_risk,
+    tether_for_prefix,
     tether_length_risk,
     turn_risk,
     visibility_risk,
@@ -208,6 +209,25 @@ def test_tether_length_straight_line():
     # the same walk on a coarser grid covers more metres
     g2 = load_map("\n".join(["." * 6] * 3) + "\n", cell_size=2.0)
     assert el.evaluate(g2, walk) == pytest.approx(0.1 * 6.0)
+
+
+def test_tether_elements_declare_their_reader(courtyard_grid, courtyard_right):
+    anchor = State(2, 2)
+    for el in (tether_length_risk(0.01, anchor=anchor), tether_contact_risk(0.03)):
+        assert el.category is RiskCategory.TRAVERSE
+        tet = tether_for_prefix(courtyard_grid, courtyard_right.states, anchor=el.tether.anchor)
+        assert el.read_tether(courtyard_grid, tet) == el.evaluate(courtyard_grid, courtyard_right)
+    assert tether_length_risk(anchor=anchor).tether.anchor == anchor
+    assert tether_contact_risk().tether.anchor is None
+    for el in (obstacle_distance_risk(RiskMapping("step-table", ((0.0, 0.1),))),
+               action_length_risk(), turn_risk()):
+        assert el.tether is None
+
+
+def test_only_traverse_elements_read_the_tether():
+    reader = tether_length_risk().tether
+    with pytest.raises(ValueError, match="only traverse elements"):
+        RiskElement("x", RiskCategory.LOCALE, (), lambda g, s: 0.0, reader)
 
 
 def test_visibility_element_open_room():

@@ -1,23 +1,27 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from motionrisk import (
     Path,
     RiskCategory,
+    RiskMatrix,
     SearchConfig,
     State,
     evaluate_path,
     load_elements,
     load_map,
     moves_within,
+    path_risk,
     plan_additive_baseline,
     plan_min_risk,
 )
+from motionrisk import compose, elements as elements_module
 
-from conftest import fixture_map, fixture_elements, random_grid
-from oracles import all_simple_paths
+from conftest import count_calls, fixture_map, fixture_elements, random_grid
+from oracles import all_simple_paths, prefix_risk_matrix
 
 
 @pytest.fixture(scope="module")
@@ -311,3 +315,41 @@ def test_additive_matches_brute_enumeration(seed):
     assert res.risk == pytest.approx(min(costs), rel=1e-11, abs=1e-12)
     assert cost([s.as_tuple() for s in res.path.states]) == pytest.approx(
         res.risk, rel=1e-11, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The planner grows rows with the shared fold
+
+
+def _two_tether_config(second_anchor):
+    tether = {"name": "tether_length", "coeff": 0.01}
+    contacts = {"name": "tether_contacts", "per_contact": 0.05}
+    if second_anchor is not None:
+        contacts["anchor"] = second_anchor
+    return load_elements(json.dumps({"elements": [
+        {"name": "obstacle_distance",
+         "mapping": {"kind": "piecewise-linear", "knots": [[1.0, 0.05], [2.0, 0.0]]}},
+        tether, {"name": "turn", "coeff": 0.02}, contacts,
+    ]}))
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "beam"])
+@pytest.mark.parametrize("second_anchor, advances_per_step", [(None, 1), ([9, 2], 2)])
+def test_planner_advances_each_anchor_once_per_expansion(
+        monkeypatch, courtyard_grid, mode, second_anchor, advances_per_step):
+    els = _two_tether_config(second_anchor)
+    counts = {"step": 0, "advance": 0, "refold": 0}
+    count_calls(monkeypatch, compose.RowFold, "step", counts, "step")
+    count_calls(monkeypatch, compose, "advance_tether", counts, "advance")
+    count_calls(monkeypatch, elements_module, "tether_for_prefix", counts, "refold")
+    res = plan_min_risk(courtyard_grid, els,
+                        SearchConfig(State(2, 2), State(9, 10), max_states=10, mode=mode))
+    assert res.feasible
+    assert counts["step"] > len(res.path)
+    assert counts["advance"] == advances_per_step * counts["step"]
+    assert counts["refold"] == 0
+
+    assert res.risk == evaluate_path(courtyard_grid, res.path, els).risk
+    oracle = RiskMatrix(tuple(e.name for e in els), tuple(e.category for e in els),
+                        np.array(prefix_risk_matrix(courtyard_grid, res.path, els)))
+    assert res.risk == path_risk(oracle)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,28 @@ def test_load_map_rejects_ragged_rows():
 def test_load_map_rejects_unknown_character():
     with pytest.raises(MapFormatError, match="unknown map character"):
         load_map("..\n.x\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("..\n.x\n", "unknown map character 'x' at row 1, col 1"),
+    ("#.\n.\u00e9\n", "unknown map character '\u00e9' at row 1, col 1"),
+    (". \n..\n", "unknown map character ' ' at row 0, col 1"),
+    (".a\nb.\n", "unknown map character 'a' at row 0, col 1"),
+    # a row-by-row scan: whichever fault comes first is reported
+    ("..\nx.\n...\n", "unknown map character 'x' at row 1, col 0"),
+    ("..\n...\nx.\n", "row 1 has length 3, expected 2 (rows must be equal length)"),
+])
+def test_load_map_reports_the_first_fault(text, message):
+    with pytest.raises(MapFormatError, match=re.escape(message)):
+        load_map(text)
+
+
+def test_load_map_round_trips_random_maps():
+    rng = np.random.default_rng(5200)
+    for _ in range(50):
+        viable = rng.uniform(size=tuple(rng.integers(1, 30, size=2))) < 0.7
+        g = load_map(dump_map(GridMap(viable)))
+        assert np.array_equal(g.viable, viable)
 
 
 def test_load_map_rejects_empty_document():
