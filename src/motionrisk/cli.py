@@ -56,6 +56,8 @@ def _read_file(name: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _CliError(EXIT_PARSE, f"cannot read {name}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise _CliError(EXIT_PARSE, f"{name}: not UTF-8 text (byte {exc.start}: {exc.reason})")
 
 
 def parse_path_text(text: str, r_c: float = 1.5) -> Path:

@@ -216,14 +216,24 @@ def tether_contact_risk(per_contact: float = 0.03, anchor: Optional[State] = Non
     return _tether_element("tether_contacts", (("per_contact", per_contact),), anchor, hazard)
 
 
-def _mapping_from_doc(doc: Mapping) -> RiskMapping:
+def _mapping_from_doc(doc) -> RiskMapping:
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"mapping block must be an object, got {doc!r}")
+    if "knots" not in doc:
+        raise ConfigError("mapping block missing field 'knots'")
     try:
-        return RiskMapping(doc.get("kind", "piecewise-linear"), tuple(map(tuple, doc["knots"])))
-    except KeyError as exc:
-        raise ConfigError(f"mapping block missing field {exc}") from exc
+        knots = tuple((float(x), float(p)) for x, p in doc["knots"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"mapping knots must be a list of [input, probability] number pairs, "
+            f"got {doc['knots']!r}"
+        ) from exc
+    return RiskMapping(doc.get("kind", "piecewise-linear"), knots)
 
 
-def _build_element(doc: Mapping) -> RiskElement:
+def _build_element(doc) -> RiskElement:
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"each element must be an object, got {doc!r}")
     name = doc.get("name")
     extra = {k: v for k, v in doc.items() if k != "name"}
 
@@ -232,29 +242,37 @@ def _build_element(doc: Mapping) -> RiskElement:
             raise ConfigError(f"element {name!r} requires field {key!r}")
         return extra.pop(key, default)
 
+    def number(key, default, kind=float):
+        value = take(key, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"element {name!r}: {key!r} must be a number, got {value!r}") from exc
+
+    def anchor():
+        value = take("anchor")
+        if value is None:
+            return None
+        if not (isinstance(value, list) and len(value) == 2
+                and all(type(v) is int for v in value)):
+            raise ConfigError(f"element {name!r}: 'anchor' must be [row, col] integers, got {value!r}")
+        return State(*value)
+
     if name == "obstacle_distance":
         el = obstacle_distance_risk(_mapping_from_doc(take("mapping", required=True)))
     elif name == "visibility":
         mapping = _mapping_from_doc(take("mapping", required=True))
         el = visibility_risk(
-            mapping, radius=float(take("radius", 5.0)), ray_count=int(take("ray_count", 32))
+            mapping, radius=number("radius", 5.0), ray_count=number("ray_count", 32, int)
         )
     elif name == "action_length":
-        el = action_length_risk(coeff=float(take("coeff", 0.02)))
+        el = action_length_risk(coeff=number("coeff", 0.02))
     elif name == "turn":
-        el = turn_risk(coeff=float(take("coeff", 0.04 / math.sqrt(2))))
+        el = turn_risk(coeff=number("coeff", 0.04 / math.sqrt(2)))
     elif name == "tether_length":
-        anchor = take("anchor")
-        el = tether_length_risk(
-            coeff=float(take("coeff", 0.01)),
-            anchor=State(*anchor) if anchor is not None else None,
-        )
+        el = tether_length_risk(coeff=number("coeff", 0.01), anchor=anchor())
     elif name == "tether_contacts":
-        anchor = take("anchor")
-        el = tether_contact_risk(
-            per_contact=float(take("per_contact", 0.03)),
-            anchor=State(*anchor) if anchor is not None else None,
-        )
+        el = tether_contact_risk(per_contact=number("per_contact", 0.03), anchor=anchor())
     else:
         raise ConfigError(f"unknown element name {name!r}")
     if extra:

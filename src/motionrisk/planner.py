@@ -1,9 +1,10 @@
 """Planning: minimize full-history path risk, or the additive locale baseline.
 
 Path risk is history-dependent (tether elements see the whole prefix), so the
-principle of optimality fails and the risk planner cannot relax per-state like
-Dijkstra.  The exhaustive mode walks all simple paths with a monotone bound:
-a prefix already riskier than the incumbent can never improve by growing.
+principle of optimality fails and the risk planner cannot merge prefixes by
+state like Dijkstra.  Risk still never falls as a prefix grows, so the
+exhaustive mode is a uniform-cost search over prefixes instead of states: the
+first goal prefix it pops is optimal.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .compose import RowFold, evaluate_path
 from .elements import RiskCategory, RiskElement
@@ -82,106 +83,104 @@ def _steps_lower_bound(a: State, b: State, reach: int) -> int:
     return -(-cheby // reach)
 
 
+def _risk(log_finish: float) -> float:
+    return 1.0 - math.exp(log_finish)
+
+
+# A prefix under search: (trail of (row, col) cells, fold carry, log finish).
+Trail = Tuple[Tuple[int, int], ...]
+Prefix = Tuple[Trail, object, float]
+Children = Callable[[Trail, object, float], Iterator[Prefix]]
+
+
 def plan_min_risk(
     grid: GridMap, elements: Sequence[RiskElement], config: SearchConfig
 ) -> PlanResult:
     """Find the path whose full-history risk is minimal.
 
-    Exhaustive mode guarantees the optimum over simple paths with at most
-    max_states states; ties fall to shorter, then lexicographically smaller
-    paths.  Beam mode keeps the best beam_width prefixes per length instead.
+    Exhaustive mode is a best-first search over prefixes.  It returns the
+    minimum of (risk, length, lexicographic states) over simple paths with at
+    most max_states states, so ties fall to shorter, then lexicographically
+    smaller paths.  Its memory grows with the frontier of open prefixes.
+    Beam mode keeps the best beam_width prefixes per length instead.
     """
     for s in (config.start, config.goal):
         if not grid.is_viable(s.row, s.col):
             return PlanResult(False, None, None, f"endpoint ({s.row}, {s.col}) is not viable")
-    if config.mode == "beam":
-        return _plan_beam(grid, elements, config)
     fold = RowFold(grid, elements)
     moves = moves_within(config.r_c)
     reach = max(1, int(math.floor(config.r_c + 1e-9)))
-    carry0, row0 = fold.start(config.start)
-    best: List[Optional[Tuple]] = [None]  # (risk, length, states, log_finish)
 
-    def consider(states: Tuple[State, ...], log_finish: float):
-        risk = 1.0 - math.exp(log_finish) if log_finish > -math.inf else 1.0
-        key = (risk, len(states), tuple(s.as_tuple() for s in states))
-        if best[0] is None or key < best[0][:3]:
-            best[0] = key + (log_finish,)
-
-    def dfs(states: Tuple[State, ...], carry, log_finish: float, visited):
-        # Appending states can only shrink the finish probability, so a prefix
-        # already strictly riskier than the incumbent is hopeless.  Equal-risk
-        # prefixes survive: they may still win a tie on length or order.
-        if best[0] is not None and log_finish < best[0][3]:
-            return
-        if states[-1] == config.goal:
-            # A simple path can never come back, so stop extending here.
-            consider(states, log_finish)
-            return
-        budget = config.max_states - len(states)
+    def children(trail: Trail, carry, log_finish: float) -> Iterator[Prefix]:
+        """Every simple one-step extension that can still reach the goal in time."""
+        budget = config.max_states - len(trail)
         if budget < 1:
             return
-        for nxt in _neighbors(grid, states[-1], moves):
-            if nxt in visited:
-                continue
-            if 1 + _steps_lower_bound(nxt, config.goal, reach) > budget:
+        for nxt in _neighbors(grid, State(*trail[-1]), moves):
+            cell = nxt.as_tuple()
+            if cell in trail or 1 + _steps_lower_bound(nxt, config.goal, reach) > budget:
                 continue
             new_carry, row = fold.step(carry, nxt)
-            new_log = log_finish + _row_log_finish(row)
-            visited.add(nxt)
-            dfs(states + (nxt,), new_carry, new_log, visited)
-            visited.remove(nxt)
+            yield trail + (cell,), new_carry, log_finish + _row_log_finish(row)
 
-    if _steps_lower_bound(config.start, config.goal, reach) <= config.max_states - 1:
-        dfs((config.start,), carry0, _row_log_finish(row0), {config.start})
-    if best[0] is None:
-        return PlanResult(False, None, None, "no path to the goal within max_states")
-    path = Path(tuple(State(r, c) for r, c in best[0][2]), r_c=config.r_c)
-    report = evaluate_path(grid, path, elements)
-    return PlanResult(True, path, report.risk)
-
-
-def _plan_beam(
-    grid: GridMap, elements: Sequence[RiskElement], config: SearchConfig
-) -> PlanResult:
-    fold = RowFold(grid, elements)
-    moves = moves_within(config.r_c)
-    reach = max(1, int(math.floor(config.r_c + 1e-9)))
     carry0, row0 = fold.start(config.start)
-    # Beam entries: (state tuple, fold carry, log_finish); completed kept aside.
-    frontier = [((config.start,), carry0, _row_log_finish(row0))]
+    root = ((config.start.as_tuple(),), carry0, _row_log_finish(row0))
+    goal = config.goal.as_tuple()
+    if config.mode == "beam":
+        trail = _beam(root, children, goal, config.beam_width)
+        reason = "beam search found no path within max_states"
+    else:
+        trail = _best_first(root, children, goal)
+        reason = "no path to the goal within max_states"
+    if trail is None:
+        return PlanResult(False, None, None, reason)
+    path = Path(tuple(State(*cell) for cell in trail), r_c=config.r_c)
+    return PlanResult(True, path, evaluate_path(grid, path, elements).risk)
+
+
+def _best_first(root: Prefix, children: Children, goal: Tuple[int, int]) -> Optional[Trail]:
+    """Uniform-cost search over prefixes, keyed (risk, length, trail).
+
+    Appending a state multiplies the finish probability by a factor in
+    [0, 1], so risk never falls as a prefix grows, and a longer prefix sorts
+    after its own prefixes.  The first goal prefix popped is therefore the
+    minimum of the key over all goal paths, ties included.  A simple path
+    cannot revisit the goal, so goal prefixes are never extended, and a child
+    strictly riskier than a goal prefix already pushed cannot win, so it is
+    not pushed: the frontier holds only prefixes that may still win.
+    """
+    heap = [(_risk(root[2]), 1) + root]
+    goal_risk = math.inf  # of the cheapest goal prefix pushed so far
+    while heap:
+        _, _, trail, carry, log_finish = heapq.heappop(heap)
+        if trail[-1] == goal:
+            return trail
+        for child in children(trail, carry, log_finish):
+            risk = _risk(child[2])
+            if risk > goal_risk:
+                continue
+            if child[0][-1] == goal:
+                goal_risk = risk
+            heapq.heappush(heap, (risk, len(child[0])) + child)
+    return None
+
+
+def _beam(
+    root: Prefix, children: Children, goal: Tuple[int, int], width: int
+) -> Optional[Trail]:
+    """Length-layered beam: keep the width lowest-risk prefixes per length."""
+    frontier = [root]
     done: List[Tuple] = []
-
-    def key(entry):
-        states, _, log_finish = entry
-        return (-log_finish, len(states), tuple(s.as_tuple() for s in states))
-
     while frontier:
         grown = []
-        for states, carry, log_finish in frontier:
-            if states[-1] == config.goal:
-                done.append((1.0 - math.exp(log_finish), len(states),
-                             tuple(s.as_tuple() for s in states)))
+        for trail, carry, log_finish in frontier:
+            if trail[-1] == goal:
+                done.append((_risk(log_finish), len(trail), trail))
                 continue  # a simple path cannot revisit the goal
-            budget = config.max_states - len(states)
-            if budget < 1:
-                continue
-            for nxt in _neighbors(grid, states[-1], moves):
-                if nxt in states:
-                    continue
-                # Keep only prefixes that can still reach the goal in time.
-                if 1 + _steps_lower_bound(nxt, config.goal, reach) > budget:
-                    continue
-                new_carry, row = fold.step(carry, nxt)
-                grown.append((states + (nxt,), new_carry, log_finish + _row_log_finish(row)))
-        grown.sort(key=key)
-        frontier = grown[: config.beam_width]
-    if not done:
-        return PlanResult(False, None, None, "beam search found no path within max_states")
-    risk, _, states = min(done)
-    path = Path(tuple(State(r, c) for r, c in states), r_c=config.r_c)
-    report = evaluate_path(grid, path, elements)
-    return PlanResult(True, path, report.risk)
+            grown.extend(children(trail, carry, log_finish))
+        grown.sort(key=lambda p: (-p[2], len(p[0]), p[0]))
+        frontier = grown[:width]
+    return min(done)[2] if done else None
 
 
 def plan_additive_baseline(

@@ -181,6 +181,24 @@ def test_eval_malformed_inputs_exit_3(run, tmp_path):
     code, _, err = run("eval", "--map", MAP, "--config", CONFIG, "--path", str(empty))
     assert code == 3 and "no states" in err
 
+    binary_map = tmp_path / "binary.map"
+    binary_map.write_bytes(b"..\xff\n...\n")
+    code, _, err = run("eval", "--map", str(binary_map), "--config", CONFIG, "--path", LEFT)
+    assert code == 3 and "binary.map" in err and "UTF-8" in err
+
+    binary_path = tmp_path / "binary.path"
+    binary_path.write_bytes(b"2 2\n\xc3\x28\n")
+    code, _, err = run("eval", "--map", MAP, "--config", CONFIG, "--path", str(binary_path))
+    assert code == 3 and "binary.path" in err
+
+    for block in (5, {"name": "tether_contacts", "anchor": [1]},
+                  {"name": "obstacle_distance", "mapping": {"knots": 5}},
+                  {"name": "turn", "coeff": "abc"},
+                  {"name": "obstacle_distance", "mapping": {"knots": [[1]]}}):
+        bad_config.write_text(json.dumps({"elements": [block]}))
+        code, out, err = run("eval", "--map", MAP, "--config", str(bad_config), "--path", LEFT)
+        assert (code, out) == (3, "") and "bad.json" in err, block
+
 
 def test_eval_invalid_path_exits_4(run, tmp_path):
     off_map = tmp_path / "hop.path"
@@ -313,6 +331,17 @@ def test_plan_infeasible_exits_5(run):
     assert code == 5
     doc = json.loads(out)
     assert doc["feasible"] is False and "max_states" in doc["reason"]
+
+
+def test_plan_a_1200_state_corridor(run, tmp_path):
+    corridor = tmp_path / "corridor.map"
+    corridor.write_text("." * 1200 + "\n")
+    code, out, err = run(
+        "plan", "--map", str(corridor), "--config", POCKET_CONFIG,
+        "--start", "0,0", "--goal", "0,1199", "--max-states", "1200", "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["path"] == [[0, c] for c in range(1200)]
 
 
 def test_plan_blocked_endpoint_is_infeasible(run):

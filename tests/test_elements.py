@@ -299,6 +299,17 @@ def test_load_elements_anchor_round_trip():
             {"elements": [{"name": "turn"}, {"name": "turn"}]},
             "unique",
         ),
+        ({"elements": [5]}, "must be an object"),
+        ({"elements": [{"name": "tether_contacts", "anchor": [1]}]}, "anchor"),
+        ({"elements": [{"name": "tether_length", "anchor": [1.5, 2]}]}, "anchor"),
+        ({"elements": [{"name": "turn", "coeff": "abc"}]}, "must be a number"),
+        ({"elements": [{"name": "visibility", "ray_count": None,
+                        "mapping": {"knots": [[0.0, 0.1]]}}]}, "must be a number"),
+        ({"elements": [{"name": "obstacle_distance", "mapping": 5}]}, "must be an object"),
+        ({"elements": [{"name": "obstacle_distance", "mapping": {"knots": 5}}]}, "knots"),
+        ({"elements": [{"name": "obstacle_distance", "mapping": {"knots": [[1]]}}]}, "knots"),
+        ({"elements": [{"name": "obstacle_distance", "mapping": {"kind": "step-table"}}]},
+         "missing field 'knots'"),
     ],
 )
 def test_load_elements_rejects_malformed_docs(doc, pattern):

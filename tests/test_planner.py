@@ -248,7 +248,7 @@ def _sweep_elements(rng):
     return load_elements(json.dumps(doc))
 
 
-@pytest.mark.parametrize("seed", range(15))
+@pytest.mark.parametrize("seed", range(40))
 def test_exhaustive_matches_brute_enumeration(seed):
     rng = random.Random(7100 + seed)
     grid = random_grid(rng, rng.randint(4, 6), rng.randint(4, 6), p_block=0.15)
@@ -284,6 +284,42 @@ def test_exhaustive_matches_brute_enumeration(seed):
     runner_up = next((r for r, _, _ in ranked if r > ranked[0][0] + 1e-9), None)
     if runner_up is not None and len([r for r, _, _ in ranked if r <= ranked[0][0] + 1e-9]) == 1:
         assert tuple(s.as_tuple() for s in res.path.states) == ranked[0][2]
+
+
+def _assert_risk_never_rises(grid, els, start, goal, budgets, r_c=1.5):
+    risks = []
+    for max_states in budgets:
+        res = plan_min_risk(grid, els, SearchConfig(
+            State(*start), State(*goal), r_c=r_c, max_states=max_states))
+        risks.append(res.risk if res.feasible else None)
+    feasible = [r for r in risks if r is not None]
+    # once a budget admits a plan every larger one does, at no higher risk
+    assert risks[len(risks) - len(feasible):] == feasible
+    assert all(b <= a for a, b in zip(feasible, feasible[1:])), risks
+    return feasible
+
+
+@pytest.mark.parametrize("start, goal", [((2, 8), (8, 4)), ((9, 7), (3, 3)), ((5, 7), (8, 2))])
+def test_exhaustive_risk_never_rises_with_budget_on_the_courtyard(
+        courtyard_grid, courtyard_elements, start, goal):
+    fewest = 1 + max(abs(start[0] - goal[0]), abs(start[1] - goal[1]))
+    risks = _assert_risk_never_rises(
+        courtyard_grid, courtyard_elements, start, goal, range(fewest, fewest + 5))
+    assert risks[-1] < risks[0]  # the detours the larger budgets allow pay off
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_exhaustive_risk_never_rises_with_budget(seed):
+    rng = random.Random(7400 + seed)
+    grid = random_grid(rng, rng.randint(4, 6), rng.randint(4, 6), p_block=0.15)
+    viable = [(r, c) for r in range(grid.n_rows) for c in range(grid.n_cols)
+              if grid.is_viable(r, c)]
+    if len(viable) < 2:
+        pytest.skip("fewer than two viable cells on this map")
+    start, goal = rng.sample(viable, 2)
+    fewest = 1 + max(abs(start[0] - goal[0]), abs(start[1] - goal[1]))
+    _assert_risk_never_rises(grid, _sweep_elements(rng), start, goal,
+                             range(fewest, fewest + 5), r_c=rng.choice([1.0, 1.5]))
 
 
 @pytest.mark.parametrize("seed", range(8))
