@@ -332,10 +332,7 @@ def cmd_simulate(args) -> Tuple[int, str]:
     elements = _load_config_arg(args)
     path = _load_path_file(args.path, args.rc)
     report = _evaluated(grid, path, elements, args.path)
-    try:
-        mc = monte_carlo_risk(report.matrix, trials=args.trials, seed=args.seed)
-    except DomainError as exc:
-        raise _CliError(EXIT_VALIDATION, str(exc))
+    mc = monte_carlo_risk(report.matrix, trials=args.trials, seed=args.seed)
     diff = mc.estimate - report.risk
     if args.format == "json":
         return EXIT_OK, _emit_json(

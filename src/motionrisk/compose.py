@@ -8,6 +8,7 @@ log domain so long paths of small risks keep full precision.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -234,27 +235,71 @@ class MonteCarloResult(object):
     failures: int
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _require_count(name: str, value, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def monte_carlo_risk(
-    matrix: RiskMatrix, trials: int, seed: int, chunk: int = 1 << 16
+    matrix: RiskMatrix, trials: int, seed: int, chunk: int = 1 << 13
 ) -> MonteCarloResult:
     """Estimate path risk by simulating Bernoulli survival per state and element.
 
     A trial fails when any (state, element) draw lands below its risk entry.
-    Only nonzero entries consume draws; for a fixed seed the outcome is
-    deterministic regardless of chunk boundaries' timing.
+    Only nonzero entries consume draws.  With n nonzero entries in row-major
+    order, trial t compares entry j with double t*n + j of PCG64(seed), the
+    stream of numpy.random.default_rng(seed).  Trials are cut into blocks of
+    `chunk` rows; each block jumps a copy of the seeded generator ahead to its
+    first double (PCG64.advance, O(log n)), so blocks run on up to one thread
+    per usable CPU and the failures are identical for any chunk and CPU count.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _require_count("trials", trials, 1)
+    seed = _require_count("seed", seed, 0)
+    chunk = _require_count("chunk", chunk, 1)
     probs = matrix.values[matrix.values > 0.0]
-    rng = np.random.default_rng(seed)
     failures = 0
     if probs.size:
-        done = 0
-        while done < trials:
-            m = min(chunk, trials - done)
-            draws = rng.random((m, probs.size))
-            failures += int((draws < probs).any(axis=1).sum())
-            done += m
+        failures = _count_failures(probs, trials, seed, chunk)
     estimate = failures / trials
     stderr = float(np.sqrt(estimate * (1.0 - estimate) / trials))
     return MonteCarloResult(estimate, stderr, trials, seed, failures)
+
+
+def _count_failures(probs: np.ndarray, trials: int, seed: int, chunk: int) -> int:
+    n = probs.size
+    origin = np.random.PCG64(seed).state
+    starts = range(0, trials, chunk)
+    workers = min(_usable_cpus(), len(starts))
+
+    def stripe(w: int) -> int:
+        # Worker w takes blocks w, w + workers, ... into one reused buffer.
+        bits = np.random.PCG64(seed)
+        gen = np.random.Generator(bits)
+        buf = np.empty((min(chunk, trials), n))
+        count = 0
+        for first in starts[w::workers]:
+            bits.state = origin
+            bits.advance(first * n)
+            draws = gen.random(out=buf[: min(chunk, trials - first)])
+            hit = draws[:, 0] < probs[0]
+            for j in range(1, n):
+                hit |= draws[:, j] < probs[j]
+            count += np.count_nonzero(hit)
+        return count
+
+    if workers == 1:
+        return stripe(0)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return sum(pool.map(stripe, range(workers)))

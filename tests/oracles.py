@@ -8,12 +8,16 @@ The exceptions are `scan_ray_blocked`, which keeps the library's float cell
 test but scans each ray's bounding box in absolute coordinates on every
 query, where the library shifts a ray fan traced once from the origin, and
 `prefix_risk_matrix`, which calls each element on every whole prefix, where
-the library folds the path once.
+the library folds the path once, and `serial_monte_carlo_failures`, which
+draws the one seeded stream chunk after chunk, where the library jumps a
+copy of the generator to each block's start and runs blocks in threads.
 """
 
 import heapq
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from motionrisk.grid_geometry import segment_enters_cell_f
 
@@ -261,6 +265,25 @@ def prefix_risk_matrix(grid, path, elements):
         [el.evaluate(grid, states[: i + 1]) for el in elements]
         for i in range(len(states))
     ]
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo: the one stream, drawn in order
+
+
+def serial_monte_carlo_failures(matrix, trials, seed, chunk=1 << 16):
+    """Failed trials of monte_carlo_risk, one chunk of the stream at a time."""
+    probs = matrix.values[matrix.values > 0.0]
+    rng = np.random.default_rng(seed)
+    failures = 0
+    if probs.size:
+        done = 0
+        while done < trials:
+            m = min(chunk, trials - done)
+            draws = rng.random((m, probs.size))
+            failures += int((draws < probs).any(axis=1).sum())
+            done += m
+    return failures
 
 
 # ---------------------------------------------------------------------------

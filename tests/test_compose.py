@@ -32,7 +32,7 @@ from motionrisk import (
 from motionrisk import compose, elements as elements_module
 
 from conftest import count_calls, random_grid, random_walk
-from oracles import prefix_risk_matrix
+from oracles import prefix_risk_matrix, serial_monte_carlo_failures
 
 # Frozen expectations for the courtyard left route.  Derived independently:
 # distances and contacts counted on the map drawing, each row multiplied out
@@ -381,6 +381,58 @@ def test_monte_carlo_degenerate_matrices():
 def test_monte_carlo_validation(left_report):
     with pytest.raises(ValueError, match="trials"):
         monte_carlo_risk(left_report.matrix, 0, seed=1)
+    for kwargs, name in [
+        (dict(trials=10.5, seed=1), "trials"),
+        (dict(trials=True, seed=1), "trials"),
+        (dict(trials="10", seed=1), "trials"),
+        (dict(trials=10, seed=-1), "seed"),
+        (dict(trials=10, seed=1.0), "seed"),
+        (dict(trials=10, seed=None), "seed"),
+        (dict(trials=10, seed=1, chunk=0), "chunk"),
+        (dict(trials=10, seed=1, chunk=-3), "chunk"),
+        (dict(trials=10, seed=1, chunk=2.0), "chunk"),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            monte_carlo_risk(left_report.matrix, **kwargs)
+    mc = monte_carlo_risk(left_report.matrix, np.int64(10), seed=np.uint32(1))
+    assert type(mc.trials) is int and type(mc.seed) is int
+
+
+def _mc_sweep_matrix(rng):
+    shape = (rng.randint(1, 6), rng.randint(1, 5))
+    if rng.random() < 0.1:
+        return _matrix(np.zeros(shape).tolist())
+
+    def entry():
+        if rng.random() < 0.03:
+            return 1.0
+        return rng.choice((0.0, rng.random(), rng.random() * 0.05))
+
+    return _matrix([[entry() for _ in range(shape[1])] for _ in range(shape[0])])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_monte_carlo_equals_the_serial_stream(monkeypatch, cpus):
+    monkeypatch.setattr(compose, "_usable_cpus", lambda: cpus)
+    rng = random.Random(8000 + cpus)
+    cases = [(_matrix([[0.0]]), 7, 1), (_matrix([[1.0]]), 5, 3), (_matrix([[0.2, 0.0, 0.7]]), 2, 1),
+             (_matrix([[0.1], [0.3]]), 1, 1 << 13), (_matrix([[0.1, 0.02], [0.3, 0.0]]), 20_000, 1 << 13)]
+    while len(cases) < 200:
+        trials = rng.choice((1, 2, rng.randint(1, 50), rng.randint(100, 5000)))
+        chunk = rng.choice((1, rng.randint(1, 64), rng.randint(65, 3000)))
+        cases.append((_mc_sweep_matrix(rng), trials, chunk))
+    for i, (matrix, trials, chunk) in enumerate(cases):
+        seed = rng.randrange(2**32)
+        mc = monte_carlo_risk(matrix, trials, seed=seed, chunk=chunk)
+        want = serial_monte_carlo_failures(matrix, trials, seed)
+        assert mc.failures == want, (i, matrix.values.tolist(), trials, seed, chunk)
+        assert (mc.trials, mc.seed, mc.estimate) == (trials, seed, want / trials)
+
+
+def test_monte_carlo_golden_counts(left_report):
+    golden = {0: 379665, 7: 378525, 42: 379012}
+    got = {s: monte_carlo_risk(left_report.matrix, 1_000_000, seed=s).failures for s in golden}
+    assert got == golden
 
 
 def test_monte_carlo_result_is_plain_data():
