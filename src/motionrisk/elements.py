@@ -44,6 +44,8 @@ class RiskMapping(object):
 
     kind: str
     knots: Tuple[Tuple[float, float], ...]
+    _xs: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _ps: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("piecewise-linear", "step-table"):
@@ -52,18 +54,21 @@ class RiskMapping(object):
         object.__setattr__(self, "knots", knots)
         if not knots:
             raise ConfigError("mapping needs at least one knot")
-        xs = [x for x, _ in knots]
+        xs = tuple(x for x, _ in knots)
+        if not all(math.isfinite(x) for x in xs):
+            raise ConfigError(f"mapping knot inputs must be finite numbers, got {list(xs)}")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ConfigError("mapping knot inputs must be strictly increasing")
-        ps = [p for _, p in knots]
+        ps = tuple(p for _, p in knots)
         if any(not (0.0 <= p <= 1.0) for p in ps):
             raise ConfigError("mapping probabilities must lie in [0, 1]")
         if any(b > a for a, b in zip(ps, ps[1:])):
             raise ConfigError("mapping probabilities must be non-increasing")
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ps", ps)
 
     def __call__(self, x: float) -> float:
-        xs = [k[0] for k in self.knots]
-        ps = [k[1] for k in self.knots]
+        xs, ps = self._xs, self._ps
         if x <= xs[0]:
             return ps[0]
         if x >= xs[-1]:
@@ -223,7 +228,7 @@ def _mapping_from_doc(doc) -> RiskMapping:
         raise ConfigError("mapping block missing field 'knots'")
     try:
         knots = tuple((float(x), float(p)) for x, p in doc["knots"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
             f"mapping knots must be a list of [input, probability] number pairs, "
             f"got {doc['knots']!r}"
@@ -242,12 +247,22 @@ def _build_element(doc) -> RiskElement:
             raise ConfigError(f"element {name!r} requires field {key!r}")
         return extra.pop(key, default)
 
-    def number(key, default, kind=float):
+    def number(key, default, ok=lambda x: x >= 0.0, need="non-negative number"):
         value = take(key, default)
         try:
-            return kind(value)
-        except (TypeError, ValueError) as exc:
+            x = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"element {name!r}: {key!r} must be a number, got {value!r}") from exc
+        if not (math.isfinite(x) and ok(x)):
+            raise ConfigError(f"element {name!r}: {key!r} must be a finite {need}, got {value!r}")
+        return x
+
+    def mapping():
+        block = take("mapping", required=True)
+        try:
+            return _mapping_from_doc(block)
+        except ConfigError as exc:
+            raise ConfigError(f"element {name!r}: 'mapping': {exc}") from exc
 
     def anchor():
         value = take("anchor")
@@ -259,11 +274,14 @@ def _build_element(doc) -> RiskElement:
         return State(*value)
 
     if name == "obstacle_distance":
-        el = obstacle_distance_risk(_mapping_from_doc(take("mapping", required=True)))
+        el = obstacle_distance_risk(mapping())
     elif name == "visibility":
-        mapping = _mapping_from_doc(take("mapping", required=True))
         el = visibility_risk(
-            mapping, radius=number("radius", 5.0), ray_count=number("ray_count", 32, int)
+            mapping(),
+            radius=number("radius", 5.0, lambda x: x > 0.0, "positive number"),
+            ray_count=int(number(
+                "ray_count", 32, lambda x: x >= 4 and x.is_integer(), "whole number of at least 4"
+            )),
         )
     elif name == "action_length":
         el = action_length_risk(coeff=number("coeff", 0.02))

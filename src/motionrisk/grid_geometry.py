@@ -12,7 +12,7 @@ does not block.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import FrozenSet, Tuple
 
 DPoint = Tuple[int, int]  # doubled coordinates: (2*row, 2*col)
 FPoint = Tuple[float, float]
@@ -69,14 +69,13 @@ def segment_enters_cell(p: DPoint, q: DPoint, cell: Tuple[int, int]) -> bool:
     return lo_n * hi_d < hi_n * lo_d
 
 
-def segment_blocked(p: DPoint, q: DPoint, unviable: Iterable[Tuple[int, int]]) -> bool:
+def segment_blocked(p: DPoint, q: DPoint, unviable: FrozenSet[Tuple[int, int]]) -> bool:
     """True when the segment crosses the interior of any listed unviable cell."""
-    blocked_set = unviable if isinstance(unviable, (set, frozenset)) else set(unviable)
     r_lo = (min(p[0], q[0]) - 1) // 2
     r_hi = (max(p[0], q[0]) + 1) // 2
     c_lo = (min(p[1], q[1]) - 1) // 2
     c_hi = (max(p[1], q[1]) + 1) // 2
-    for r, c in blocked_set:
+    for r, c in unviable:
         if r_lo <= r <= r_hi and c_lo <= c <= c_hi:
             if segment_enters_cell(p, q, (r, c)):
                 return True
@@ -131,32 +130,3 @@ def segment_enters_cell_f(p: FPoint, q: FPoint, cell: Tuple[int, int]) -> bool:
         lo_t = max(lo_t, iv[0])
         hi_t = min(hi_t, iv[1])
     return hi_t - lo_t > _GRAZE_EPS
-
-
-def convex_corners(unviable, n_rows: int, n_cols: int) -> List[DPoint]:
-    """Vertices a taut band can bend around, as doubled (odd, odd) points.
-
-    A lattice vertex qualifies when exactly one of its four incident cells is
-    unviable (an ordinary convex corner), or when exactly two are and they
-    touch only diagonally — a pinch the band can wrap while squeezing through
-    the gap.  Out-of-grid cells count as unviable, which strips the outer
-    boundary of wrap candidates (a tether between in-grid centers can never
-    reach it anyway).
-    """
-    blocked = set(unviable)
-
-    def occ(r: int, c: int) -> bool:
-        if 0 <= r < n_rows and 0 <= c < n_cols:
-            return (r, c) in blocked
-        return True
-
-    corners = []
-    for r, c in blocked:
-        for vr in (2 * r - 1, 2 * r + 1):
-            for vc in (2 * c - 1, 2 * c + 1):
-                rr, cc = (vr - 1) // 2, (vc - 1) // 2
-                quad = [occ(rr, cc), occ(rr, cc + 1), occ(rr + 1, cc), occ(rr + 1, cc + 1)]
-                n_occ = sum(quad)
-                if n_occ == 1 or (n_occ == 2 and quad[0] == quad[3]):
-                    corners.append((vr, vc))
-    return sorted(set(corners))

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .grid_geometry import (
     DPoint,
-    convex_corners,
     cross,
     euclid,
     point_in_closed_triangle,
@@ -25,22 +24,6 @@ from .world import GridMap, State
 
 class TetherError(ValueError):
     """Raised when a tether update cannot be carried out."""
-
-
-def _map_unviable(grid: GridMap) -> frozenset:
-    cached = getattr(grid, "_unviable_cache", None)
-    if cached is None:
-        cached = grid.unviable_cells()
-        object.__setattr__(grid, "_unviable_cache", cached)
-    return cached
-
-
-def _map_corners(grid: GridMap) -> List[DPoint]:
-    cached = getattr(grid, "_corner_cache", None)
-    if cached is None:
-        cached = convex_corners(_map_unviable(grid), grid.n_rows, grid.n_cols)
-        object.__setattr__(grid, "_corner_cache", cached)
-    return cached
 
 
 def _state_d(s: State) -> DPoint:
@@ -78,7 +61,7 @@ def start_tether(grid: GridMap, start: State, anchor: Optional[State] = None) ->
         if not grid.is_viable(s.row, s.col):
             raise TetherError(f"tether endpoint ({s.row}, {s.col}) must be viable")
     a_d, s_d = _state_d(anchor), _state_d(start)
-    if a_d != s_d and segment_blocked(a_d, s_d, _map_unviable(grid)):
+    if a_d != s_d and segment_blocked(a_d, s_d, grid.unviable_cells()):
         raise TetherError("anchor must have line of sight to the first state")
     chain = (a_d, s_d) if a_d != s_d else (a_d,)
     return TetherState(anchor=anchor, head=start, chain=chain)
@@ -90,12 +73,14 @@ def _funnel_insert(
     """Corners the band wraps while the head sweeps from h_old to n.
 
     The swept region of a straight head motion is the triangle (q, h_old, n);
-    the band settles on the shortest corner chain from q to n inside it.
+    the band settles on the shortest corner chain from q to n inside it.  The
+    candidate corners are the map's own `grid.convex_corners()`, built once
+    per map, that lie in that closed triangle.
     """
-    unviable = _map_unviable(grid)
+    unviable = grid.unviable_cells()
     candidates = [
         v
-        for v in _map_corners(grid)
+        for v in grid.convex_corners()
         if v != q and v != n and point_in_closed_triangle(v, q, h_old, n)
     ]
     nodes = [q] + candidates + [n]
@@ -134,7 +119,7 @@ def advance_tether(grid: GridMap, tether: TetherState, s_next: State) -> TetherS
     h_old = orig[-1]
     if n == h_old:
         return tether
-    unviable = _map_unviable(grid)
+    unviable = grid.unviable_cells()
     body = orig[:-1]  # anchor plus contacts
     if not body:
         body = [h_old]  # degenerate: anchor == head
@@ -174,8 +159,8 @@ def tether_for_prefix(
 
 def check_tether(grid: GridMap, tether: TetherState) -> None:
     """Assert the chain invariants; raises TetherError on violation."""
-    unviable = _map_unviable(grid)
-    corners = set(_map_corners(grid))
+    unviable = grid.unviable_cells()
+    corners = set(grid.convex_corners())
     chain = tether.chain
     if chain[0] != _state_d(tether.anchor):
         raise TetherError("chain must start at the anchor")

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .grid_geometry import segment_enters_cell_f
+from .grid_geometry import DPoint, segment_enters_cell_f
 
 VIABLE_CHAR = "."
 UNVIABLE_CHAR = "#"
@@ -39,7 +39,15 @@ class State(object):
 
 
 class GridMap(object):
-    """Immutable 2D occupancy grid; True in `viable` marks free cells."""
+    """Immutable 2D occupancy grid; True in `viable` marks free cells.
+
+    The map owns every table derived from its grid, all declared here:
+    `n_rows`, `n_cols` and a row-major byte per cell (1 = viable) are built
+    at once and answer `in_bounds`/`is_viable`.  The unviable-cell set, the
+    convex corners, the distance field and the visibility memo stay empty
+    until `unviable_cells()`, `convex_corners()`, `distance_field()` or
+    `visibility_at()` first needs them.
+    """
 
     def __init__(self, viable: np.ndarray, cell_size: float = 1.0):
         arr = np.asarray(viable, dtype=bool)
@@ -50,49 +58,66 @@ class GridMap(object):
         self._viable = arr.copy()
         self._viable.setflags(write=False)
         self.cell_size = float(cell_size)
+        self.n_rows, self.n_cols = arr.shape
+        self._viable_bytes = self._viable.tobytes()
+        self._unviable: Optional[frozenset] = None
+        self._corners: Optional[Tuple[DPoint, ...]] = None
+        self._dist_field: Optional[np.ndarray] = None
+        self._visibility: Dict[Tuple[int, int, float, int], float] = {}
 
     @property
     def viable(self) -> np.ndarray:
         return self._viable
-
-    @property
-    def n_rows(self) -> int:
-        return self._viable.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self._viable.shape[1]
 
     def in_bounds(self, row: int, col: int) -> bool:
         return 0 <= row < self.n_rows and 0 <= col < self.n_cols
 
     def is_viable(self, row: int, col: int) -> bool:
         # Everything beyond the grid edge counts as unviable.
-        return self.in_bounds(row, col) and bool(self._viable[row, col])
+        return (
+            0 <= row < self.n_rows and 0 <= col < self.n_cols
+            and self._viable_bytes[row * self.n_cols + col] == 1
+        )
 
     def unviable_cells(self) -> frozenset:
-        rs, cs = np.nonzero(~self._viable)
-        return frozenset(zip(rs.tolist(), cs.tolist()))
+        """The (row, col) of every unviable cell."""
+        if self._unviable is None:
+            rs, cs = np.nonzero(~self._viable)
+            self._unviable = frozenset(zip(rs.tolist(), cs.tolist()))
+        return self._unviable
+
+    def convex_corners(self) -> Tuple[DPoint, ...]:
+        """Vertices a taut band can bend around, as sorted doubled (odd, odd) points.
+
+        A lattice vertex qualifies when exactly one of its four incident cells
+        is unviable (an ordinary convex corner), or when exactly two are and
+        they touch only diagonally: a pinch the band can wrap while squeezing
+        through the gap.  Cells outside the grid count as unviable, so no
+        vertex on the grid edge qualifies (a tether between in-grid centres
+        never reaches it anyway).
+        """
+        if self._corners is None:
+            occ = np.pad(~self._viable, 1, constant_values=True)
+            nw, ne, sw, se = occ[:-1, :-1], occ[:-1, 1:], occ[1:, :-1], occ[1:, 1:]
+            count = nw.astype(np.int8) + ne + sw + se
+            vr, vc = np.nonzero((count == 1) | ((count == 2) & (nw == se)))
+            self._corners = tuple(zip((2 * vr - 1).tolist(), (2 * vc - 1).tolist()))
+        return self._corners
 
     def distance_field(self) -> np.ndarray:
-        """Cached distance_transform of this map."""
-        cached = getattr(self, "_dist_field", None)
-        if cached is None:
-            cached = distance_transform(self)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_dist_field", cached)
-        return cached
+        """distance_transform of this map, built once."""
+        if self._dist_field is None:
+            dist = distance_transform(self)
+            dist.setflags(write=False)
+            self._dist_field = dist
+        return self._dist_field
 
     def visibility_at(self, s: "State", radius: float, ray_count: int) -> float:
-        """Cached visibility_fraction lookup."""
-        cache = getattr(self, "_vis_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_vis_cache", cache)
+        """visibility_fraction from s, computed once per cell, radius and ray count."""
         key = (s.row, s.col, radius, ray_count)
-        if key not in cache:
-            cache[key] = visibility_fraction(self, s, radius=radius, ray_count=ray_count)
-        return cache[key]
+        if key not in self._visibility:
+            self._visibility[key] = visibility_fraction(self, s, radius=radius, ray_count=ray_count)
+        return self._visibility[key]
 
     def __eq__(self, other) -> bool:
         return (

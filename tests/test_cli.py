@@ -199,6 +199,21 @@ def test_eval_malformed_inputs_exit_3(run, tmp_path):
         code, out, err = run("eval", "--map", MAP, "--config", str(bad_config), "--path", LEFT)
         assert (code, out) == (3, "") and "bad.json" in err, block
 
+    vis = {"kind": "piecewise-linear", "knots": [[0.5, 0.02], [1.0, 0.0]]}
+    for text in ('{"name": "turn", "coeff": "nan"}',
+                 '{"name": "action_length", "coeff": "inf"}',
+                 '{"name": "tether_length", "coeff": 1e400}',
+                 '{"name": "turn", "coeff": -0.5}',
+                 '{"name": "obstacle_distance", "mapping": {"knots": [["inf", 0.1]]}}',
+                 '{"name": "obstacle_distance", "mapping": {"knots": [["nan", 0.1]]}}',
+                 '{"name": "visibility", "ray_count": 3, "mapping": %s}' % json.dumps(vis),
+                 '{"name": "visibility", "ray_count": 2.7, "mapping": %s}' % json.dumps(vis),
+                 '{"name": "visibility", "radius": -1, "mapping": %s}' % json.dumps(vis)):
+        bad_config.write_text('{"elements": [%s]}' % text)
+        code, out, err = run("eval", "--map", MAP, "--config", str(bad_config), "--path", LEFT)
+        name = json.loads(text)["name"]
+        assert (code, out) == (3, "") and "bad.json" in err and name in err, text
+
 
 def test_eval_invalid_path_exits_4(run, tmp_path):
     off_map = tmp_path / "hop.path"

@@ -79,6 +79,13 @@ def test_mapping_validation():
         RiskMapping("piecewise-linear", ((0.0, 1.2),))
     with pytest.raises(ConfigError, match="non-increasing"):
         RiskMapping("piecewise-linear", ((0.0, 0.1), (1.0, 0.2)))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite"):
+            RiskMapping("piecewise-linear", ((0.0, 0.1), (bad, 0.0)))
+        with pytest.raises(ConfigError, match="finite"):
+            RiskMapping("step-table", ((bad, 0.1),))
+    with pytest.raises(ConfigError, match="0, 1"):
+        RiskMapping("piecewise-linear", ((0.0, math.nan),))
 
 
 def test_mapping_coerces_knots_to_float():
@@ -310,6 +317,32 @@ def test_load_elements_anchor_round_trip():
         ({"elements": [{"name": "obstacle_distance", "mapping": {"knots": [[1]]}}]}, "knots"),
         ({"elements": [{"name": "obstacle_distance", "mapping": {"kind": "step-table"}}]},
          "missing field 'knots'"),
+        ({"elements": [{"name": "turn", "coeff": "nan"}]}, "'turn': 'coeff' must be a finite"),
+        ({"elements": [{"name": "action_length", "coeff": "inf"}]},
+         "'action_length': 'coeff' must be a finite"),
+        ('{"elements": [{"name": "tether_length", "coeff": 1e400}]}',
+         "'tether_length': 'coeff' must be a finite"),
+        ({"elements": [{"name": "turn", "coeff": 10 ** 400}]}, "'coeff' must be a number"),
+        ({"elements": [{"name": "turn", "coeff": -0.5}]}, "'coeff' must be a finite non-negative"),
+        ({"elements": [{"name": "tether_contacts", "per_contact": -0.1}]},
+         "'per_contact' must be a finite non-negative"),
+        ({"elements": [{"name": "visibility", "radius": -1,
+                        "mapping": {"knots": [[0.0, 0.1]]}}]}, "'radius' must be a finite positive"),
+        ({"elements": [{"name": "visibility", "radius": 0,
+                        "mapping": {"knots": [[0.0, 0.1]]}}]}, "'radius' must be a finite positive"),
+        ({"elements": [{"name": "visibility", "radius": "inf",
+                        "mapping": {"knots": [[0.0, 0.1]]}}]}, "'radius' must be a finite positive"),
+        ({"elements": [{"name": "visibility", "ray_count": 3,
+                        "mapping": {"knots": [[0.0, 0.1]]}}]}, "'ray_count' must be a finite whole"),
+        ({"elements": [{"name": "visibility", "ray_count": 2.7,
+                        "mapping": {"knots": [[0.0, 0.1]]}}]}, "'ray_count' must be a finite whole"),
+        ({"elements": [{"name": "visibility", "ray_count": 16.5,
+                        "mapping": {"knots": [[0.0, 0.1]]}}]}, "'ray_count' must be a finite whole"),
+        ({"elements": [{"name": "obstacle_distance", "mapping": {"knots": [["inf", 0.1]]}}]},
+         "'obstacle_distance': 'mapping': mapping knot inputs must be finite"),
+        ({"elements": [{"name": "obstacle_distance",
+                        "mapping": {"knots": [[0.0, 0.1], ["nan", 0.0]]}}]},
+         "'obstacle_distance': 'mapping': mapping knot inputs must be finite"),
     ],
 )
 def test_load_elements_rejects_malformed_docs(doc, pattern):

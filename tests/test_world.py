@@ -10,18 +10,29 @@ from motionrisk import (
     MapFormatError,
     Path,
     PathValidationError,
+    SearchConfig,
     State,
+    check_tether,
     distance_transform,
     dump_map,
+    evaluate_path,
+    load_elements,
     load_map,
+    plan_min_risk,
     ray_directions,
     require_valid_path,
+    tether_for_prefix,
     validate_path,
     visibility_fraction,
 )
 
 from conftest import fixture_map, random_grid
-from oracles import brute_distance_field, sampled_ray_blocked, scan_ray_blocked
+from oracles import (
+    brute_distance_field,
+    oracle_pivot_vertices,
+    sampled_ray_blocked,
+    scan_ray_blocked,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -131,6 +142,56 @@ def test_distance_field_is_cached():
     assert g.distance_field() is g.distance_field()
     with pytest.raises(ValueError):
         g.distance_field()[0, 0] = 9.0
+
+
+def test_is_viable_matches_the_mask_on_non_square_maps():
+    rng = random.Random(11)
+    for _ in range(60):
+        n_rows, n_cols = rng.randint(1, 9), rng.randint(1, 9)
+        if n_rows == n_cols:
+            n_cols += rng.randint(1, 5)
+        g = random_grid(rng, n_rows, n_cols, p_block=rng.uniform(0.0, 0.6))
+        for r in range(-3, n_rows + 3):
+            for c in range(-3, n_cols + 3):
+                inside = 0 <= r < n_rows and 0 <= c < n_cols
+                assert g.in_bounds(r, c) == inside
+                assert g.is_viable(r, c) == (inside and bool(g.viable[r, c])), (r, c)
+
+
+def test_convex_corners_equal_the_pivot_oracle():
+    rng = random.Random(5)
+    shapes = [(1, 1), (1, 9), (9, 1), (1, 2), (2, 1), (7, 7), (4, 11)]
+    for k in range(400):
+        n_rows, n_cols = shapes[k] if k < len(shapes) else (rng.randint(1, 14), rng.randint(1, 14))
+        p_block = [0.0, 1.0][k % 2] if k < 2 * len(shapes) else rng.uniform(0.0, 0.7)
+        g = GridMap(_seeded_viable(rng, n_rows, n_cols, p_block))
+        want = sorted(oracle_pivot_vertices(g.unviable_cells(), n_rows, n_cols))
+        assert list(g.convex_corners()) == want, (n_rows, n_cols)
+        assert g.convex_corners() is g.convex_corners()
+
+
+def test_the_map_keeps_only_its_declared_tables():
+    """Evaluating, planning and checking tethers fill the map's own tables
+    and pin nothing else onto it."""
+    g = fixture_map("pillar_courtyard.map")
+    declared = set(vars(g))
+    elements = load_elements({"elements": [
+        {"name": "obstacle_distance", "mapping": {"knots": [[1.0, 0.04], [2.0, 0.01]]}},
+        {"name": "visibility", "radius": 3.0, "ray_count": 16,
+         "mapping": {"knots": [[0.5, 0.02], [1.0, 0.0]]}},
+        {"name": "action_length", "coeff": 0.01},
+        {"name": "turn", "coeff": 0.02},
+        {"name": "tether_length", "coeff": 0.005, "anchor": [1, 1]},
+        {"name": "tether_contacts", "per_contact": 0.03},
+    ]})
+    states = [State(4, 3), State(5, 4), State(6, 4), State(7, 5), State(7, 6), State(6, 7)]
+    evaluate_path(g, Path(tuple(states)), elements)
+    for mode in ("exhaustive", "beam"):
+        plan_min_risk(g, elements, SearchConfig(State(4, 4), State(8, 6), max_states=7, mode=mode))
+    check_tether(g, tether_for_prefix(g, states))
+    assert set(vars(g)) == declared
+    assert g.distance_field() is g.distance_field()
+    assert g.unviable_cells() is g.unviable_cells()
 
 
 # ---------------------------------------------------------------------------
