@@ -96,11 +96,11 @@ class RowFold(object):
     The carry is (tethers, recent).  `tethers` holds one TetherState per
     distinct anchor among the elements' tether readers, advanced once per
     state and read by every element with that anchor.  `recent` holds the
-    states the other elements see: the last three, which covers the locale
-    and action windows, or the whole prefix when a traverse element without
-    a tether reader needs it.  RiskElement.evaluate cuts each category's
-    window from it, so every entry equals evaluating the element on the full
-    prefix.
+    states the other elements see: the widest window their categories'
+    history_depth allows, or the whole prefix when one of them (a traverse
+    element without a tether reader) may see it all.  RiskElement.evaluate
+    cuts each category's window from it, so every entry equals evaluating the
+    element on the full prefix.
     """
 
     def __init__(self, grid: GridMap, elements: Sequence[RiskElement]):
@@ -117,11 +117,10 @@ class RowFold(object):
             slots.append(anchors.index(el.tether.anchor))
         self._anchors = tuple(anchors)
         self._slots = tuple(slots)
-        whole_prefix = any(
-            el.category is RiskCategory.TRAVERSE and el.tether is None for el in self.elements
-        )
-        # States of `recent` kept before the new one is appended; None keeps all.
-        self._keep = None if whole_prefix else 2
+        depths = [el.category.history_depth for el in self.elements if el.tether is None]
+        # The latest states `recent` keeps, the new one included: the widest
+        # window of an element that reads it, or all of them.
+        self._window = slice(None) if None in depths else slice(-1 - max(depths, default=0), None)
 
     def start(self, s0: State) -> Tuple[Carry, List[float]]:
         tethers = tuple(start_tether(self.grid, s0, anchor=a) for a in self._anchors)
@@ -130,9 +129,7 @@ class RowFold(object):
     def step(self, carry: Carry, s: State) -> Tuple[Carry, List[float]]:
         tethers, recent = carry
         tethers = tuple(advance_tether(self.grid, tet, s) for tet in tethers)
-        if self._keep is not None:
-            recent = recent[-self._keep:]
-        return self._row(tethers, recent + (s,))
+        return self._row(tethers, (recent + (s,))[self._window])
 
     def _row(
         self, tethers: Tuple[TetherState, ...], recent: Tuple[State, ...]

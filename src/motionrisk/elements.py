@@ -4,6 +4,7 @@ much traverse history each one is allowed to see."""
 from __future__ import annotations
 
 import bisect
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -50,7 +51,11 @@ class RiskMapping(object):
     def __post_init__(self):
         if self.kind not in ("piecewise-linear", "step-table"):
             raise ConfigError(f"unknown mapping kind {self.kind!r}")
-        knots = tuple((float(x), float(p)) for x, p in self.knots)
+        try:
+            knots = tuple((float(x), float(p)) for x, p in self.knots)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError("mapping knots must be a list of [input, probability] number "
+                              f"pairs, got {self.knots!r}") from exc
         object.__setattr__(self, "knots", knots)
         if not knots:
             raise ConfigError("mapping needs at least one knot")
@@ -98,17 +103,23 @@ class TetherReader(NamedTuple):
 
 @dataclass(frozen=True)
 class RiskElement(object):
-    """A named risk source evaluated over a traverse prefix."""
+    """A named risk source evaluated over a traverse prefix.
+
+    It gives exactly one of `fn`, called on its category's window of the
+    prefix, and a `tether` reader, whose hazard reads the prefix's taut tether.
+    """
 
     name: str
     category: RiskCategory
     params: Tuple[Tuple[str, object], ...]
-    fn: Callable[[GridMap, Tuple[State, ...]], float]
+    fn: Optional[Callable[[GridMap, Tuple[State, ...]], float]] = None
     tether: Optional[TetherReader] = None
 
     def __post_init__(self):
         if self.tether is not None and self.category is not RiskCategory.TRAVERSE:
             raise ValueError(f"element {self.name!r}: only traverse elements read the tether")
+        if (self.fn is None) == (self.tether is None):
+            raise ValueError(f"element {self.name!r} needs exactly one of fn and a tether reader")
 
     def evaluate(self, grid: GridMap, prefix: Sequence[State]) -> float:
         states = tuple(prefix)
@@ -116,7 +127,9 @@ class RiskElement(object):
             raise ValueError("prefix must contain at least the current state")
         depth = self.category.history_depth
         if depth is not None:
-            states = states[-(depth + 1):]
+            return self._checked(self.fn(grid, states[-(depth + 1):]))
+        if self.tether is not None:
+            return self.read_tether(grid, tether_for_prefix(grid, states, self.tether.anchor))
         return self._checked(self.fn(grid, states))
 
     def read_tether(self, grid: GridMap, tether: TetherState) -> float:
@@ -132,6 +145,17 @@ class RiskElement(object):
         doc = {"name": self.name}
         doc.update({k: v for k, v in self.params})
         return doc
+
+
+def _number(element: str, key: str, value, ok=lambda x: x >= 0.0, need="non-negative number"):
+    """`value` as a float, or a ConfigError naming the element and field."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"element {element!r}: {key!r} must be a number, got {value!r}") from exc
+    if not (math.isfinite(x) and ok(x)):
+        raise ConfigError(f"element {element!r}: {key!r} must be a finite {need}, got {value!r}")
+    return x
 
 
 def obstacle_distance_risk(mapping: RiskMapping) -> RiskElement:
@@ -150,6 +174,9 @@ def visibility_risk(
     mapping: RiskMapping, radius: float = 5.0, ray_count: int = 32
 ) -> RiskElement:
     """Locale element: maps the fraction of unblocked sight rays."""
+    radius = _number("visibility", "radius", radius, lambda x: x > 0.0, "positive number")
+    ray_count = int(_number("visibility", "ray_count", ray_count,
+                            lambda x: x >= 4 and x.is_integer(), "whole number of at least 4"))
 
     def fn(grid: GridMap, states: Tuple[State, ...]) -> float:
         return mapping(grid.visibility_at(states[-1], radius, ray_count))
@@ -160,6 +187,7 @@ def visibility_risk(
 
 def action_length_risk(coeff: float = 0.02) -> RiskElement:
     """Action element: proportional to the length of the arriving step."""
+    coeff = _number("action_length", "coeff", coeff)
 
     def fn(grid: GridMap, states: Tuple[State, ...]) -> float:
         if len(states) < 2:
@@ -173,6 +201,7 @@ def action_length_risk(coeff: float = 0.02) -> RiskElement:
 
 def turn_risk(coeff: float = 0.04 / math.sqrt(2)) -> RiskElement:
     """Action element: proportional to the change between consecutive steps."""
+    coeff = _number("turn", "coeff", coeff)
 
     def fn(grid: GridMap, states: Tuple[State, ...]) -> float:
         if len(states) < 3:
@@ -192,19 +221,15 @@ def _tether_element(
     anchor: Optional[State],
     hazard: Callable[[GridMap, TetherState], float],
 ) -> RiskElement:
-    """Traverse element that reads only the taut tether; its `fn` folds the
-    prefix into a tether and applies the same hazard."""
-
-    def fn(grid: GridMap, states: Tuple[State, ...]) -> float:
-        return hazard(grid, tether_for_prefix(grid, states, anchor=anchor))
-
+    """Traverse element that reads only the taut tether."""
     if anchor is not None:
         params += (("anchor", list(anchor.as_tuple())),)
-    return RiskElement(name, RiskCategory.TRAVERSE, params, fn, TetherReader(anchor, hazard))
+    return RiskElement(name, RiskCategory.TRAVERSE, params, tether=TetherReader(anchor, hazard))
 
 
 def tether_length_risk(coeff: float = 0.01, anchor: Optional[State] = None) -> RiskElement:
     """Traverse element: proportional to the taut tether length."""
+    coeff = _number("tether_length", "coeff", coeff)
 
     def hazard(grid: GridMap, tet: TetherState) -> float:
         return min(1.0, coeff * tet.taut_length * grid.cell_size)
@@ -214,6 +239,7 @@ def tether_length_risk(coeff: float = 0.01, anchor: Optional[State] = None) -> R
 
 def tether_contact_risk(per_contact: float = 0.03, anchor: Optional[State] = None) -> RiskElement:
     """Traverse element: proportional to the number of taut-tether contacts."""
+    per_contact = _number("tether_contacts", "per_contact", per_contact)
 
     def hazard(grid: GridMap, tet: TetherState) -> float:
         return min(1.0, per_contact * tet.contact_count)
@@ -226,76 +252,51 @@ def _mapping_from_doc(doc) -> RiskMapping:
         raise ConfigError(f"mapping block must be an object, got {doc!r}")
     if "knots" not in doc:
         raise ConfigError("mapping block missing field 'knots'")
-    try:
-        knots = tuple((float(x), float(p)) for x, p in doc["knots"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(
-            f"mapping knots must be a list of [input, probability] number pairs, "
-            f"got {doc['knots']!r}"
-        ) from exc
-    return RiskMapping(doc.get("kind", "piecewise-linear"), knots)
+    return RiskMapping(doc.get("kind", "piecewise-linear"), doc["knots"])
+
+
+def _anchor_from_doc(value) -> Optional[State]:
+    if value is None:
+        return None
+    if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
+        raise ConfigError(f"must be [row, col] integers, got {value!r}")
+    return State(*value)
+
+
+# A config block's fields are its factory's keyword arguments: those without a
+# default are required, and the factory checks the numbers.
+_FACTORIES = {
+    "obstacle_distance": obstacle_distance_risk, "visibility": visibility_risk,
+    "action_length": action_length_risk, "turn": turn_risk,
+    "tether_length": tether_length_risk, "tether_contacts": tether_contact_risk,
+}
+_FIELDS = {name: inspect.signature(f).parameters for name, f in _FACTORIES.items()}
+
+# Config fields that are not numbers, and what builds each from its JSON value.
+_CONVERTERS = {"mapping": _mapping_from_doc, "anchor": _anchor_from_doc}
 
 
 def _build_element(doc) -> RiskElement:
     if not isinstance(doc, Mapping):
         raise ConfigError(f"each element must be an object, got {doc!r}")
     name = doc.get("name")
-    extra = {k: v for k, v in doc.items() if k != "name"}
-
-    def take(key, default=None, required=False):
-        if required and key not in extra:
-            raise ConfigError(f"element {name!r} requires field {key!r}")
-        return extra.pop(key, default)
-
-    def number(key, default, ok=lambda x: x >= 0.0, need="non-negative number"):
-        value = take(key, default)
-        try:
-            x = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"element {name!r}: {key!r} must be a number, got {value!r}") from exc
-        if not (math.isfinite(x) and ok(x)):
-            raise ConfigError(f"element {name!r}: {key!r} must be a finite {need}, got {value!r}")
-        return x
-
-    def mapping():
-        block = take("mapping", required=True)
-        try:
-            return _mapping_from_doc(block)
-        except ConfigError as exc:
-            raise ConfigError(f"element {name!r}: 'mapping': {exc}") from exc
-
-    def anchor():
-        value = take("anchor")
-        if value is None:
-            return None
-        if not (isinstance(value, list) and len(value) == 2
-                and all(type(v) is int for v in value)):
-            raise ConfigError(f"element {name!r}: 'anchor' must be [row, col] integers, got {value!r}")
-        return State(*value)
-
-    if name == "obstacle_distance":
-        el = obstacle_distance_risk(mapping())
-    elif name == "visibility":
-        el = visibility_risk(
-            mapping(),
-            radius=number("radius", 5.0, lambda x: x > 0.0, "positive number"),
-            ray_count=int(number(
-                "ray_count", 32, lambda x: x >= 4 and x.is_integer(), "whole number of at least 4"
-            )),
-        )
-    elif name == "action_length":
-        el = action_length_risk(coeff=number("coeff", 0.02))
-    elif name == "turn":
-        el = turn_risk(coeff=number("coeff", 0.04 / math.sqrt(2)))
-    elif name == "tether_length":
-        el = tether_length_risk(coeff=number("coeff", 0.01), anchor=anchor())
-    elif name == "tether_contacts":
-        el = tether_contact_risk(per_contact=number("per_contact", 0.03), anchor=anchor())
-    else:
+    if not isinstance(name, str) or name not in _FACTORIES:
         raise ConfigError(f"unknown element name {name!r}")
+    fields = _FIELDS[name]
+    kwargs = {k: v for k, v in doc.items() if k != "name"}
+    extra = set(kwargs) - set(fields)
     if extra:
         raise ConfigError(f"element {name!r} has unrecognized fields {sorted(extra)}")
-    return el
+    for key, param in fields.items():
+        if key not in kwargs:
+            if param.default is param.empty:
+                raise ConfigError(f"element {name!r} requires field {key!r}")
+        elif key in _CONVERTERS:
+            try:
+                kwargs[key] = _CONVERTERS[key](kwargs[key])
+            except ConfigError as exc:
+                raise ConfigError(f"element {name!r}: {key!r}: {exc}") from exc
+    return _FACTORIES[name](**kwargs)
 
 
 def load_elements(doc) -> List[RiskElement]:

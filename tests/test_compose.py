@@ -276,6 +276,24 @@ def test_fold_equals_the_per_prefix_evaluation():
     assert refused > 0
 
 
+def test_fold_carries_the_widest_window_its_elements_see(courtyard_grid, courtyard_left):
+    mapping = RiskMapping("step-table", ((0.0, 0.1),))
+    locale = [obstacle_distance_risk(mapping), tether_length_risk(0.01)]
+    n = len(courtyard_left)
+    for elements, want in (
+        (locale, [1] * n),
+        (locale + [turn_risk()], [1, 2] + [3] * (n - 2)),
+        (locale + [turn_risk(), _prefix_probe()], list(range(1, n + 1))),
+    ):
+        fold = compose.RowFold(courtyard_grid, elements)
+        carry, _ = fold.start(courtyard_left.states[0])
+        sizes = [len(carry[1])]
+        for s in courtyard_left.states[1:]:
+            carry, _ = fold.step(carry, s)
+            sizes.append(len(carry[1]))
+        assert sizes == want
+
+
 def _counting(monkeypatch):
     counts = {"start": 0, "advance": 0, "refold": 0}
     count_calls(monkeypatch, compose, "start_tether", counts, "start")

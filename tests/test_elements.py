@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -20,6 +21,7 @@ from motionrisk import (
     turn_risk,
     visibility_risk,
 )
+from motionrisk import elements as elements_module
 
 SQ2 = math.sqrt(2.0)
 
@@ -86,6 +88,12 @@ def test_mapping_validation():
             RiskMapping("step-table", ((bad, 0.1),))
     with pytest.raises(ConfigError, match="0, 1"):
         RiskMapping("piecewise-linear", ((0.0, math.nan),))
+
+
+@pytest.mark.parametrize("knots", [5, ((0.0,),), (("a", 0.1),)])
+def test_mapping_refuses_knots_that_are_not_number_pairs(knots):
+    with pytest.raises(ConfigError, match=r"\[input, probability\] number pairs"):
+        RiskMapping("step-table", knots)
 
 
 def test_mapping_coerces_knots_to_float():
@@ -237,6 +245,36 @@ def test_only_traverse_elements_read_the_tether():
         RiskElement("x", RiskCategory.LOCALE, (), lambda g, s: 0.0, reader)
 
 
+def test_an_element_gives_exactly_one_of_fn_and_reader():
+    reader = tether_length_risk().tether
+    with pytest.raises(ValueError, match="exactly one"):
+        RiskElement("x", RiskCategory.TRAVERSE, (), lambda g, s: 0.0, reader)
+    with pytest.raises(ValueError, match="exactly one"):
+        RiskElement("x", RiskCategory.TRAVERSE, ())
+
+
+_MAPPING = RiskMapping("step-table", ((0.0, 0.1),))
+
+
+@pytest.mark.parametrize(
+    "build, pattern",
+    [
+        (lambda: turn_risk(coeff=math.nan), "'turn': 'coeff' must be a finite"),
+        (lambda: action_length_risk(coeff=math.inf), "'action_length': 'coeff' must be a finite"),
+        (lambda: tether_length_risk(coeff=math.nan), "'tether_length': 'coeff' must be a finite"),
+        (lambda: tether_contact_risk(per_contact=-1),
+         "'tether_contacts': 'per_contact' must be a finite non-negative"),
+        (lambda: visibility_risk(_MAPPING, radius=math.nan),
+         "'visibility': 'radius' must be a finite positive"),
+        (lambda: visibility_risk(_MAPPING, ray_count=2.7),
+         "'visibility': 'ray_count' must be a finite whole"),
+    ],
+)
+def test_factories_refuse_bad_numbers(build, pattern):
+    with pytest.raises(ConfigError, match=pattern):
+        build()
+
+
 def test_visibility_element_open_room():
     mapping = RiskMapping("piecewise-linear", ((0.0, 0.8), (1.0, 0.0)))
     el = visibility_risk(mapping, radius=2.4, ray_count=16)
@@ -281,6 +319,27 @@ def test_load_elements_defaults():
     assert dict(vis.params)["ray_count"] == 32
     # mapping kind defaults to piecewise-linear
     assert dict(vis.params)["mapping"]["kind"] == "piecewise-linear"
+
+
+def test_every_factory_round_trips_non_default_arguments():
+    mapping = RiskMapping("step-table", ((0.5, 0.3), (2.0, 0.1)))
+    anchor = State(1, 2)
+    els = [
+        obstacle_distance_risk(mapping),
+        visibility_risk(mapping, radius=3.5, ray_count=12),
+        action_length_risk(coeff=0.07),
+        turn_risk(coeff=0.09),
+        tether_length_risk(coeff=0.02, anchor=anchor),
+        tether_contact_risk(per_contact=0.2, anchor=anchor),
+    ]
+    assert sorted(e.name for e in els) == sorted(elements_module._FACTORIES)
+    for el in els:
+        factory = elements_module._FACTORIES[el.name]
+        assert [k for k, _ in el.params] == list(inspect.signature(factory).parameters)
+    doc = json.loads(json.dumps(dump_elements(els)))
+    again = load_elements(doc)
+    assert [e.params for e in again] == [e.params for e in els]
+    assert [e.tether.anchor for e in again[4:]] == [anchor, anchor]
 
 
 def test_load_elements_anchor_round_trip():
@@ -343,6 +402,9 @@ def test_load_elements_anchor_round_trip():
         ({"elements": [{"name": "obstacle_distance",
                         "mapping": {"knots": [[0.0, 0.1], ["nan", 0.0]]}}]},
          "'obstacle_distance': 'mapping': mapping knot inputs must be finite"),
+        ({"elements": [{"name": ["turn"]}]}, "unknown element name"),
+        ({"elements": [{"name": {"turn": 1}}]}, "unknown element name"),
+        ({"elements": [{"name": "turn", "coeff": "nan", "coef": 0.1}]}, "unrecognized"),
     ],
 )
 def test_load_elements_rejects_malformed_docs(doc, pattern):
