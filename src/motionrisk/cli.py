@@ -1,9 +1,14 @@
 """Command line interface.
 
-Subcommands: eval, compare, plan, simulate, render.  Exit codes: 0 success,
-2 usage, 3 unreadable/malformed input file, 4 semantically invalid input,
-5 no feasible plan.  The table format prints probabilities to 2 decimals;
-csv and json carry the same values to 4 decimals.
+Subcommands: eval, compare, plan, simulate, render.  eval, compare, plan and
+simulate each build one report, which every --format writes: json carries its
+payload with floats rounded to 4 decimals; csv its body rows under a header,
+then its tail rows, floats to 4 decimals; table the same body with floats to
+2 decimals, a blank line, then summary lines.  render writes SVG.
+
+Exit codes: 0 success; 2 usage, a non-finite --rc included; 3 unreadable or
+malformed input file, a map given a non-finite or non-positive --cell-size
+included; 4 semantically invalid input; 5 no feasible plan.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .compose import (
     DomainError,
@@ -47,17 +53,6 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
-
-
-def _read_file(name: str) -> str:
-    try:
-        with open(name, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise _CliError(EXIT_PARSE, f"cannot read {name}: {exc.strerror or exc}")
-    except UnicodeDecodeError as exc:
-        raise _CliError(EXIT_PARSE, f"{name}: not UTF-8 text (byte {exc.start}: {exc.reason})")
 
 
 def parse_path_text(text: str, r_c: float = 1.5) -> Path:
@@ -79,28 +74,28 @@ def parse_path_text(text: str, r_c: float = 1.5) -> Path:
     return Path(tuple(states), r_c=r_c)
 
 
-def _load_map_arg(args) -> GridMap:
-    text = _read_file(args.map)
+def _parsed(name: str, parse: Callable[[str], object], error: type):
+    """parse(text of file `name`); unreadable text or an `error` exits 3 naming the file."""
     try:
-        return load_map(text, cell_size=args.cell_size)
-    except MapFormatError as exc:
-        raise _CliError(EXIT_PARSE, f"{args.map}: {exc}")
-
-
-def _load_config_arg(args):
-    text = _read_file(args.config)
+        with open(name, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise _CliError(EXIT_PARSE, f"cannot read {name}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise _CliError(EXIT_PARSE, f"{name}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     try:
-        return load_elements(text)
-    except ConfigError as exc:
-        raise _CliError(EXIT_PARSE, f"{args.config}: {exc}")
-
-
-def _load_path_file(name: str, r_c: float) -> Path:
-    text = _read_file(name)
-    try:
-        return parse_path_text(text, r_c=r_c)
-    except ValueError as exc:
+        return parse(text)
+    except error as exc:
         raise _CliError(EXIT_PARSE, f"{name}: {exc}")
+
+
+def _inputs(args) -> Tuple[GridMap, list]:
+    """The --map grid and --config elements every command reads; --rc must be finite."""
+    grid = _parsed(args.map, lambda text: load_map(text, cell_size=args.cell_size), MapFormatError)
+    elements = _parsed(args.config, load_elements, ConfigError)
+    if not math.isfinite(args.rc):
+        raise _CliError(EXIT_USAGE, f"--rc must be a finite number, got {args.rc}")
+    return grid, elements
 
 
 def _evaluated(grid: GridMap, path: Path, elements, name: str) -> PathRiskReport:
@@ -109,6 +104,13 @@ def _evaluated(grid: GridMap, path: Path, elements, name: str) -> PathRiskReport
         return evaluate_path(grid, path, elements)
     except PathValidationError as exc:
         raise _CliError(EXIT_VALIDATION, f"{name}: {exc}")
+
+
+def _one_path(args) -> Tuple[GridMap, list, Path, PathRiskReport]:
+    """The inputs of eval, simulate and render: map, config, --path and its evaluation."""
+    grid, elements = _inputs(args)
+    path = _parsed(args.path, lambda text: parse_path_text(text, r_c=args.rc), ValueError)
+    return grid, elements, path, _evaluated(grid, path, elements, args.path)
 
 
 def _parse_state(text: str, flag: str) -> State:
@@ -121,6 +123,23 @@ def _parse_state(text: str, flag: str) -> State:
         raise _CliError(EXIT_USAGE, f"{flag} expects integer coordinates, got {text!r}")
 
 
+class _Report(NamedTuple):
+    """One command's result, from which _render writes every format.
+
+    `doc` is the json payload.  `columns` pairs each body column's csv name
+    with its table header, and `rows` hold the body, one value per column.
+    csv writes `csv_tail` after the body, and the table prints `text_tail`
+    after the body and a blank line.  _render formats every float, so a
+    number a format shows is the same number in the others.
+    """
+
+    doc: dict
+    columns: Sequence[Tuple[str, str]] = ()
+    rows: Sequence[Sequence[object]] = ()
+    csv_tail: Sequence[Sequence[object]] = ()
+    text_tail: Sequence[str] = ()
+
+
 def _round4(obj):
     if isinstance(obj, float):
         return round(obj, 4)
@@ -129,20 +148,6 @@ def _round4(obj):
     if isinstance(obj, (list, tuple)):
         return [_round4(v) for v in obj]
     return obj
-
-
-def _emit_json(payload: dict) -> str:
-    return json.dumps(_round4(payload), indent=2, sort_keys=True) + "\n"
-
-
-def _emit_csv(rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(
-            [f"{v:.4f}" if isinstance(v, float) else v for v in row]
-        )
-    return buf.getvalue()
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
@@ -154,6 +159,27 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
     out = [fmt.format(*headers)]
     out.extend(fmt.format(*row) for row in rows)
     return out
+
+
+def _render(report: _Report, fmt: str) -> str:
+    """json: the doc, floats to 4 decimals; csv: header, body and tail rows,
+    floats to 4 decimals; table: the body, floats to 2 decimals, then the tail."""
+    if fmt == "json":
+        return json.dumps(_round4(report.doc), indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        header = [[name for name, _ in report.columns]] if report.columns else []
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [f"{v:.4f}" if isinstance(v, float) else v for v in row]
+            for row in [*header, *report.rows, *report.csv_tail]
+        )
+        return buf.getvalue()
+    lines: List[str] = []
+    if report.columns:
+        body = [[f"{v:.2f}" if isinstance(v, float) else str(v) for v in row]
+                for row in report.rows]
+        lines = _table([head for _, head in report.columns], body) + [""]
+    return "\n".join([*lines, *report.text_tail]) + "\n"
 
 
 def _scored_tether(grid: GridMap, path: Path, elements) -> TetherState:
@@ -174,209 +200,130 @@ def _locale_columns(matrix: RiskMatrix) -> RiskMatrix:
     )
 
 
-def cmd_eval(args) -> Tuple[int, str]:
-    grid = _load_map_arg(args)
-    elements = _load_config_arg(args)
-    path = _load_path_file(args.path, args.rc)
-    report = _evaluated(grid, path, elements, args.path)
-    names = list(report.matrix.element_names)
+Output = Tuple[int, Union[_Report, str]]
+
+
+def cmd_eval(args) -> Output:
+    grid, elements, path, report = _one_path(args)
     tether = _scored_tether(grid, path, elements) if args.tether else None
-    if args.format == "json":
-        payload = {
-            "elements": names,
-            "states": [list(s.as_tuple()) for s in path],
-            "matrix": [list(map(float, row)) for row in report.matrix.values],
-            "state_finish": [float(v) for v in report.state_finish],
-            "finish_prob": report.finish_prob,
-            "risk": report.risk,
-        }
-        if tether is not None:
-            payload["tether"] = {
-                "contacts": [list(c) for c in tether.contacts],
-                "taut_length": tether.taut_length * grid.cell_size,
-            }
-        return EXIT_OK, _emit_json(payload)
-    if args.format == "csv":
-        rows: List[Sequence[object]] = [["state", "row", "col"] + names + ["state_finish"]]
-        for i, s in enumerate(path):
-            rows.append(
-                [i, s.row, s.col]
-                + [float(v) for v in report.matrix.values[i]]
-                + [float(report.state_finish[i])]
-            )
-        rows.append(["finish_prob", report.finish_prob])
-        rows.append(["risk", report.risk])
-        if tether is not None:
-            for cr, cc in tether.contacts:
-                rows.append(["tether_contact", float(cr), float(cc)])
-            rows.append(["tether_taut_length", tether.taut_length * grid.cell_size])
-        return EXIT_OK, _emit_csv(rows)
-    body = []
-    for i, s in enumerate(path):
-        body.append(
-            [str(i), str(s.row), str(s.col)]
-            + [f"{v:.2f}" for v in report.matrix.values[i]]
-            + [f"{report.state_finish[i]:.2f}"]
-        )
-    lines = _table(["state", "row", "col"] + names + ["finish"], body)
-    lines.append("")
-    lines.append(f"finish probability: {report.finish_prob:.2f}")
-    lines.append(f"risk:               {report.risk:.2f}")
+    names = list(report.matrix.element_names)
+    rows = [
+        [i, s.row, s.col, *risks, finish]
+        for i, (s, risks, finish) in enumerate(
+            zip(path, report.matrix.values.tolist(), report.state_finish))
+    ]
+    doc = {
+        "elements": names,
+        "states": [row[1:3] for row in rows],
+        "matrix": [row[3:-1] for row in rows],
+        "state_finish": [row[-1] for row in rows],
+        "finish_prob": report.finish_prob,
+        "risk": report.risk,
+    }
+    csv_tail = [["finish_prob", report.finish_prob], ["risk", report.risk]]
+    text_tail = [f"finish probability: {report.finish_prob:.2f}",
+                 f"risk:               {report.risk:.2f}"]
     if tether is not None:
+        taut = tether.taut_length * grid.cell_size
+        doc["tether"] = {"contacts": tether.contacts, "taut_length": taut}
+        csv_tail += [["tether_contact", cr, cc] for cr, cc in tether.contacts]
+        csv_tail.append(["tether_taut_length", taut])
         shown = ", ".join(f"({cr:g}, {cc:g})" for cr, cc in tether.contacts) or "none"
-        lines.append(f"tether contacts:    {shown}")
-        lines.append(f"tether taut length: {tether.taut_length * grid.cell_size:.2f}")
-    return EXIT_OK, "\n".join(lines) + "\n"
+        text_tail += [f"tether contacts:    {shown}", f"tether taut length: {taut:.2f}"]
+    columns = [(name, name) for name in ("state", "row", "col", *names)]
+    columns.append(("state_finish", "finish"))
+    return EXIT_OK, _Report(doc, columns, rows, csv_tail, text_tail)
 
 
-def cmd_compare(args) -> Tuple[int, str]:
-    grid = _load_map_arg(args)
-    elements = _load_config_arg(args)
+def cmd_compare(args) -> Output:
+    grid, elements = _inputs(args)
     if len(args.path) < 2:
         raise _CliError(EXIT_USAGE, "compare needs at least two --path files")
-    paths = [_load_path_file(name, args.rc) for name in args.path]
-    locale = [e for e in elements if e.category is RiskCategory.LOCALE]
-    if not locale:
+    paths = [_parsed(name, lambda text: parse_path_text(text, r_c=args.rc), ValueError)
+             for name in args.path]
+    if not any(e.category is RiskCategory.LOCALE for e in elements):
         raise _CliError(EXIT_VALIDATION, "config has no locale elements for the additive baseline")
-    entries = []
+    rows = []
     for name, path in zip(args.path, paths):
         report = _evaluated(grid, path, elements, name)
         cost = additive_path_cost(_locale_columns(report.matrix))
-        entries.append({"name": name, "risk": report.risk,
-                        "finish_prob": report.finish_prob, "additive_cost": cost})
-    risk_rank = [e["name"] for e in sorted(entries, key=lambda e: (e["risk"], e["name"]))]
-    add_rank = [e["name"] for e in sorted(entries, key=lambda e: (e["additive_cost"], e["name"]))]
+        rows.append([name, report.risk, report.finish_prob, cost])
+    risk_rank = [row[0] for row in sorted(rows, key=lambda row: (row[1], row[0]))]
+    add_rank = [row[0] for row in sorted(rows, key=lambda row: (row[3], row[0]))]
     agree = risk_rank == add_rank
-    if args.format == "json":
-        return EXIT_OK, _emit_json(
-            {
-                "paths": entries,
-                "risk_ranking": risk_rank,
-                "additive_ranking": add_rank,
-                "rankings_agree": agree,
-            }
-        )
-    if args.format == "csv":
-        rows: List[Sequence[object]] = [["path", "risk", "finish_prob", "additive_cost"]]
-        for e in entries:
-            rows.append([e["name"], e["risk"], e["finish_prob"], e["additive_cost"]])
-        rows.append(["risk_ranking"] + risk_rank)
-        rows.append(["additive_ranking"] + add_rank)
-        rows.append(["rankings_agree", str(agree).lower()])
-        return EXIT_OK, _emit_csv(rows)
-    body = [
-        [e["name"], f"{e['risk']:.2f}", f"{e['finish_prob']:.2f}", f"{e['additive_cost']:.2f}"]
-        for e in entries
+    doc = {
+        "paths": [dict(zip(("name", "risk", "finish_prob", "additive_cost"), row)) for row in rows],
+        "risk_ranking": risk_rank,
+        "additive_ranking": add_rank,
+        "rankings_agree": agree,
+    }
+    columns = [("path", "path"), ("risk", "risk"), ("finish_prob", "finish"),
+               ("additive_cost", "additive cost")]
+    csv_tail = [["risk_ranking", *risk_rank], ["additive_ranking", *add_rank],
+                ["rankings_agree", str(agree).lower()]]
+    text_tail = [
+        "risk ranking (best first):     " + "  ".join(risk_rank),
+        "additive ranking (best first): " + "  ".join(add_rank),
+        "rankings agree" if agree else "WARNING: additive ranking disagrees with risk ranking",
     ]
-    lines = _table(["path", "risk", "finish", "additive cost"], body)
-    lines.append("")
-    lines.append("risk ranking (best first):     " + "  ".join(risk_rank))
-    lines.append("additive ranking (best first): " + "  ".join(add_rank))
-    lines.append(
-        "rankings agree" if agree
-        else "WARNING: additive ranking disagrees with risk ranking"
-    )
-    return EXIT_OK, "\n".join(lines) + "\n"
+    return EXIT_OK, _Report(doc, columns, rows, csv_tail, text_tail)
 
 
-def cmd_plan(args) -> Tuple[int, str]:
-    grid = _load_map_arg(args)
-    elements = _load_config_arg(args)
+def cmd_plan(args) -> Output:
+    grid, elements = _inputs(args)
     start = _parse_state(args.start, "--start")
     goal = _parse_state(args.goal, "--goal")
     try:
-        config = SearchConfig(
-            start=start,
-            goal=goal,
-            r_c=args.rc,
-            max_states=args.max_states,
-            mode=args.mode,
-            beam_width=args.beam_width,
-        )
+        config = SearchConfig(start=start, goal=goal, r_c=args.rc, max_states=args.max_states,
+                              mode=args.mode, beam_width=args.beam_width)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
-    if args.planner == "additive":
-        result = plan_additive_baseline(grid, elements, config)
-        cost_label = "additive cost"
-    else:
-        result = plan_min_risk(grid, elements, config)
-        cost_label = "risk"
+    additive = args.planner == "additive"
+    result = (plan_additive_baseline if additive else plan_min_risk)(grid, elements, config)
     if not result.feasible:
-        if args.format == "json":
-            return EXIT_INFEASIBLE, _emit_json({"feasible": False, "reason": result.reason})
-        return EXIT_INFEASIBLE, f"infeasible: {result.reason}\n"
-    if args.format == "json":
-        return EXIT_OK, _emit_json(
-            {
-                "feasible": True,
-                "planner": args.planner,
-                "mode": args.mode,
-                "path": [list(s.as_tuple()) for s in result.path],
-                "objective": result.risk,
-            }
-        )
-    if args.format == "csv":
-        rows: List[Sequence[object]] = [["state", "row", "col"]]
-        rows.extend([i, s.row, s.col] for i, s in enumerate(result.path))
-        rows.append(["objective", result.risk])
-        return EXIT_OK, _emit_csv(rows)
-    body = [[str(i), str(s.row), str(s.col)] for i, s in enumerate(result.path)]
-    lines = _table(["state", "row", "col"], body)
-    lines.append("")
-    lines.append(f"{cost_label}: {result.risk:.2f}")
-    return EXIT_OK, "\n".join(lines) + "\n"
+        # A plain sentence: through the csv writer a reason with a comma gains quotes.
+        if args.format != "json":
+            return EXIT_INFEASIBLE, f"infeasible: {result.reason}\n"
+        return EXIT_INFEASIBLE, _Report({"feasible": False, "reason": result.reason})
+    rows = [[i, s.row, s.col] for i, s in enumerate(result.path)]
+    doc = {
+        "feasible": True,
+        "planner": args.planner,
+        "mode": args.mode,
+        "path": [row[1:] for row in rows],
+        "objective": result.risk,
+    }
+    cost_label = "additive cost" if additive else "risk"
+    return EXIT_OK, _Report(doc, [(name, name) for name in ("state", "row", "col")], rows,
+                            [["objective", result.risk]], [f"{cost_label}: {result.risk:.2f}"])
 
 
-def cmd_simulate(args) -> Tuple[int, str]:
-    grid = _load_map_arg(args)
-    elements = _load_config_arg(args)
-    path = _load_path_file(args.path, args.rc)
-    report = _evaluated(grid, path, elements, args.path)
+def cmd_simulate(args) -> Output:
+    _, _, _, report = _one_path(args)
     mc = monte_carlo_risk(report.matrix, trials=args.trials, seed=args.seed)
     diff = mc.estimate - report.risk
-    if args.format == "json":
-        return EXIT_OK, _emit_json(
-            {
-                "exact_risk": report.risk,
-                "estimate": mc.estimate,
-                "stderr": mc.stderr,
-                "difference": diff,
-                "trials": mc.trials,
-                "seed": mc.seed,
-            }
-        )
-    if args.format == "csv":
-        rows = [
-            ["exact_risk", report.risk],
-            ["estimate", mc.estimate],
-            ["stderr", mc.stderr],
-            ["difference", diff],
-            ["trials", mc.trials],
-            ["seed", mc.seed],
-        ]
-        return EXIT_OK, _emit_csv(rows)
-    lines = [
+    doc = {
+        "exact_risk": report.risk,
+        "estimate": mc.estimate,
+        "stderr": mc.stderr,
+        "difference": diff,
+        "trials": mc.trials,
+        "seed": mc.seed,
+    }
+    text_tail = [
         f"exact risk:     {report.risk:.2f}",
         f"sampled risk:   {mc.estimate:.2f}   ({mc.trials} trials, seed {mc.seed})",
         f"difference:     {diff:+.4f} (standard error {mc.stderr:.4f})",
     ]
-    return EXIT_OK, "\n".join(lines) + "\n"
+    return EXIT_OK, _Report(doc, csv_tail=list(doc.items()), text_tail=text_tail)
 
 
-def cmd_render(args) -> Tuple[int, str]:
-    grid = _load_map_arg(args)
-    elements = _load_config_arg(args)
-    path = _load_path_file(args.path, args.rc)
-    report = _evaluated(grid, path, elements, args.path)
+def cmd_render(args) -> Output:
+    grid, elements, path, report = _one_path(args)
     risks = [1.0 - float(f) for f in report.state_finish]
     tether = _scored_tether(grid, path, elements) if args.tether else None
-    svg = render_svg(
-        grid,
-        path=path,
-        state_risks=risks,
-        tether=tether,
-        title=f"risk {report.risk:.2f}",
-    )
+    svg = render_svg(grid, path=path, state_risks=risks, tether=tether,
+                     title=f"risk {report.risk:.2f}")
     if args.svg_out:
         try:
             with open(args.svg_out, "w", encoding="utf-8") as fh:
@@ -451,12 +398,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code, output = args.handler(args)
     except _CliError as exc:
-        print(exc.message, file=sys.stderr)
+        print(exc, file=sys.stderr)
         return exc.code
     except (DomainError, PathValidationError, TetherError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
-    sys.stdout.write(output)
+    sys.stdout.write(output if isinstance(output, str) else _render(output, args.format))
     return code
 
 

@@ -158,8 +158,16 @@ def _number(element: str, key: str, value, ok=lambda x: x >= 0.0, need="non-nega
     return x
 
 
+def _instance(element: str, key: str, value, cls: type):
+    """`value` if it is a `cls`, else a ConfigError naming the element and field."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"element {element!r}: {key!r} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def obstacle_distance_risk(mapping: RiskMapping) -> RiskElement:
     """Locale element: maps distance to the nearest unviable cell."""
+    mapping = _instance("obstacle_distance", "mapping", mapping, RiskMapping)
 
     def fn(grid: GridMap, states: Tuple[State, ...]) -> float:
         s = states[-1]
@@ -174,6 +182,7 @@ def visibility_risk(
     mapping: RiskMapping, radius: float = 5.0, ray_count: int = 32
 ) -> RiskElement:
     """Locale element: maps the fraction of unblocked sight rays."""
+    mapping = _instance("visibility", "mapping", mapping, RiskMapping)
     radius = _number("visibility", "radius", radius, lambda x: x > 0.0, "positive number")
     ray_count = int(_number("visibility", "ray_count", ray_count,
                             lambda x: x >= 4 and x.is_integer(), "whole number of at least 4"))
@@ -223,7 +232,7 @@ def _tether_element(
 ) -> RiskElement:
     """Traverse element that reads only the taut tether."""
     if anchor is not None:
-        params += (("anchor", list(anchor.as_tuple())),)
+        params += (("anchor", list(_instance(name, "anchor", anchor, State).as_tuple())),)
     return RiskElement(name, RiskCategory.TRAVERSE, params, tether=TetherReader(anchor, hazard))
 
 

@@ -31,6 +31,8 @@ class SearchConfig(object):
     beam_width: int = 64
 
     def __post_init__(self):
+        if not math.isfinite(self.r_c):
+            raise ValueError(f"r_c must be a finite number, got {self.r_c}")
         if self.mode not in ("exhaustive", "beam"):
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.max_states < 1:
@@ -56,6 +58,13 @@ def moves_within(r_c: float) -> List[Tuple[int, int]]:
             if (dr, dc) != (0, 0) and math.hypot(dr, dc) <= r_c + 1e-12:
                 out.append((dr, dc))
     return sorted(out)
+
+
+def _moves_and_reach(grid: GridMap, r_c: float) -> Tuple[List[Tuple[int, int]], int]:
+    """moves_within(r_c) and its per-axis reach, with r_c capped at the grid's
+    diagonal: no longer hop lands inside the grid, so the plans stay the same."""
+    r_c = min(r_c, math.hypot(grid.n_rows - 1, grid.n_cols - 1))
+    return moves_within(r_c), max(1, int(math.floor(r_c + 1e-9)))
 
 
 def _row_log_finish(row: Sequence[float]) -> float:
@@ -108,8 +117,7 @@ def plan_min_risk(
         if not grid.is_viable(s.row, s.col):
             return PlanResult(False, None, None, f"endpoint ({s.row}, {s.col}) is not viable")
     fold = RowFold(grid, elements)
-    moves = moves_within(config.r_c)
-    reach = max(1, int(math.floor(config.r_c + 1e-9)))
+    moves, reach = _moves_and_reach(grid, config.r_c)
 
     def children(trail: Trail, carry, log_finish: float) -> Iterator[Prefix]:
         """Every simple one-step extension that can still reach the goal in time."""
@@ -214,8 +222,7 @@ def plan_additive_baseline(
             cost_cache[s] = sum(w[e.name] * e.evaluate(grid, (s,)) for e in locale)
         return cost_cache[s]
 
-    moves = moves_within(config.r_c)
-    reach = max(1, int(math.floor(config.r_c + 1e-9)))
+    moves, reach = _moves_and_reach(grid, config.r_c)
     heap = [(state_cost(config.start), 1, (config.start.as_tuple(),), config.start)]
     seen = set()
     while heap:

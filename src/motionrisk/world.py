@@ -53,8 +53,8 @@ class GridMap(object):
         arr = np.asarray(viable, dtype=bool)
         if arr.ndim != 2 or arr.size == 0:
             raise MapFormatError("occupancy grid must be a non-empty 2D array")
-        if cell_size <= 0:
-            raise MapFormatError("cell_size must be positive")
+        if not (math.isfinite(cell_size) and cell_size > 0):
+            raise MapFormatError(f"cell_size must be a positive finite number, got {cell_size}")
         self._viable = arr.copy()
         self._viable.setflags(write=False)
         self.cell_size = float(cell_size)
@@ -174,6 +174,8 @@ class Path(object):
         object.__setattr__(self, "states", tuple(self.states))
         if len(self.states) < 1:
             raise PathValidationError("a path needs at least one state", 0)
+        if not math.isfinite(self.r_c):
+            raise ValueError(f"r_c must be a finite number, got {self.r_c}")
 
     def __len__(self) -> int:
         return len(self.states)

@@ -227,6 +227,27 @@ def test_eval_invalid_path_exits_4(run, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_cell_size_names_the_map(run, value):
+    code, out, err = run(
+        "eval", "--map", MAP, "--config", CONFIG, "--path", LEFT, "--cell-size", value)
+    assert (code, out) == (3, "") and "pillar_courtyard.map" in err and "cell_size" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_rc_is_a_usage_error(run, tmp_path, value):
+    hop = tmp_path / "hop.path"
+    hop.write_text("2 1\n2 10\n")  # a 9-cell hop that `gap > nan` would let through
+    code, out, err = run(
+        "eval", "--map", str(FIXTURES / "corridor.map"), "--config",
+        str(FIXTURES / "corridor.config.json"), "--path", str(hop), "--rc", value)
+    assert (code, out) == (2, "") and "--rc" in err
+    code, out, err = run(
+        "plan", "--map", MAP, "--config", CONFIG, "--start", "2,2", "--goal", "9,10",
+        "--rc", value)
+    assert (code, out) == (2, "") and "--rc" in err
+
+
 # ---------------------------------------------------------------------------
 # compare
 

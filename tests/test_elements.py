@@ -275,6 +275,23 @@ def test_factories_refuse_bad_numbers(build, pattern):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, pattern",
+    [
+        (lambda: obstacle_distance_risk({"knots": [[0, 0.1]]}),
+         "'obstacle_distance': 'mapping' must be a RiskMapping"),
+        (lambda: visibility_risk({"knots": [[0, 0.1]]}),
+         "'visibility': 'mapping' must be a RiskMapping"),
+        (lambda: tether_length_risk(anchor=(1, 2)), "'tether_length': 'anchor' must be a State"),
+        (lambda: tether_contact_risk(anchor=[1, 2]),
+         "'tether_contacts': 'anchor' must be a State"),
+    ],
+)
+def test_factories_refuse_arguments_of_the_wrong_type(build, pattern):
+    with pytest.raises(ConfigError, match=pattern):
+        build()
+
+
 def test_visibility_element_open_room():
     mapping = RiskMapping("piecewise-linear", ((0.0, 0.8), (1.0, 0.0)))
     el = visibility_risk(mapping, radius=2.4, ray_count=16)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -18,7 +19,7 @@ from motionrisk import (
     plan_additive_baseline,
     plan_min_risk,
 )
-from motionrisk import compose, elements as elements_module
+from motionrisk import compose, elements as elements_module, planner as planner_module
 
 from conftest import count_calls, fixture_map, fixture_elements, random_grid
 from oracles import all_simple_paths, prefix_risk_matrix
@@ -42,6 +43,32 @@ def test_search_config_defaults_and_validation():
         SearchConfig(State(0, 0), State(1, 1), max_states=0)
     with pytest.raises(ValueError, match="beam_width"):
         SearchConfig(State(0, 0), State(1, 1), beam_width=0)
+
+
+@pytest.mark.parametrize("r_c", [math.nan, math.inf])
+def test_search_config_rejects_a_non_finite_r_c(r_c):
+    with pytest.raises(ValueError, match="r_c must be a finite number"):
+        SearchConfig(State(0, 0), State(1, 1), r_c=r_c)
+
+
+def test_a_huge_r_c_builds_moves_for_the_grid_diagonal_only(monkeypatch):
+    grid, elements = fixture_map("corridor.map"), fixture_elements("corridor.config.json")
+    diagonal = math.hypot(grid.n_rows - 1, grid.n_cols - 1)
+    plans = {}
+    for plan in (plan_min_risk, plan_additive_baseline):
+        config = SearchConfig(State(1, 1), State(4, 12), r_c=diagonal + 1.0, max_states=3)
+        plans[plan] = plan(grid, elements, config)
+    real = planner_module.moves_within
+
+    def capped(r_c):
+        assert r_c <= diagonal  # 1e9 would loop over (2e9 + 1)**2 displacements
+        return real(r_c)
+
+    monkeypatch.setattr(planner_module, "moves_within", capped)
+    for plan, expected in plans.items():
+        config = SearchConfig(State(1, 1), State(4, 12), r_c=1e9, max_states=3)
+        huge = plan(grid, elements, config)
+        assert (huge.path.states, huge.risk) == (expected.path.states, expected.risk)
 
 
 def test_moves_within_radius():

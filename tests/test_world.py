@@ -117,6 +117,12 @@ def test_gridmap_rejects_bad_input():
         GridMap(np.ones((2, 2), dtype=bool), cell_size=-1.0)
 
 
+@pytest.mark.parametrize("cell_size", [math.nan, math.inf])
+def test_gridmap_rejects_a_non_finite_cell_size(cell_size):
+    with pytest.raises(MapFormatError, match="cell_size must be a positive finite number"):
+        GridMap(np.ones((2, 2), dtype=bool), cell_size=cell_size)
+
+
 def test_gridmap_is_immutable():
     g = load_map("..\n..\n")
     with pytest.raises(ValueError):
@@ -288,6 +294,12 @@ def test_path_prefix_and_iteration(courtyard_left):
 def test_path_needs_a_state():
     with pytest.raises(PathValidationError):
         Path(())
+
+
+@pytest.mark.parametrize("r_c", [math.nan, math.inf, -math.inf])
+def test_path_rejects_a_non_finite_r_c(r_c):
+    with pytest.raises(ValueError, match="r_c must be a finite number"):
+        Path((State(0, 0), State(0, 9)), r_c=r_c)
 
 
 def test_arc_length_left_route(courtyard_left):
