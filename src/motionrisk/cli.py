@@ -6,9 +6,10 @@ payload with floats rounded to 4 decimals; csv its body rows under a header,
 then its tail rows, floats to 4 decimals; table the same body with floats to
 2 decimals, a blank line, then summary lines.  render writes SVG.
 
-Exit codes: 0 success; 2 usage, a non-finite --rc included; 3 unreadable or
-malformed input file, a map given a non-finite or non-positive --cell-size
-included; 4 semantically invalid input; 5 no feasible plan.
+Exit codes: 0 success; 2 usage, a non-finite or non-positive --rc included;
+3 unreadable or malformed input file, a map given a non-finite or
+non-positive --cell-size included; 4 semantically invalid input; 5 no
+feasible plan.
 """
 
 from __future__ import annotations
@@ -90,11 +91,11 @@ def _parsed(name: str, parse: Callable[[str], object], error: type):
 
 
 def _inputs(args) -> Tuple[GridMap, list]:
-    """The --map grid and --config elements every command reads; --rc must be finite."""
+    """The --map grid and --config elements every command reads; --rc must be above 0."""
     grid = _parsed(args.map, lambda text: load_map(text, cell_size=args.cell_size), MapFormatError)
     elements = _parsed(args.config, load_elements, ConfigError)
-    if not math.isfinite(args.rc):
-        raise _CliError(EXIT_USAGE, f"--rc must be a finite number, got {args.rc}")
+    if not (math.isfinite(args.rc) and args.rc > 0):
+        raise _CliError(EXIT_USAGE, f"--rc must be a finite number above 0, got {args.rc}")
     return grid, elements
 
 

@@ -70,15 +70,49 @@ def segment_enters_cell(p: DPoint, q: DPoint, cell: Tuple[int, int]) -> bool:
 
 
 def segment_blocked(p: DPoint, q: DPoint, unviable: FrozenSet[Tuple[int, int]]) -> bool:
-    """True when the segment crosses the interior of any listed unviable cell."""
-    r_lo = (min(p[0], q[0]) - 1) // 2
-    r_hi = (max(p[0], q[0]) + 1) // 2
-    c_lo = (min(p[1], q[1]) - 1) // 2
-    c_hi = (max(p[1], q[1]) + 1) // 2
-    for r, c in unviable:
-        if r_lo <= r <= r_hi and c_lo <= c <= c_hi:
-            if segment_enters_cell(p, q, (r, c)):
+    """True when the segment crosses the interior of any listed unviable cell.
+
+    Walks the cell rows the segment spans, from its lower-row end.  In row r the
+    segment stays within the doubled rows [y0, y1] of that row's slab, so its
+    columns lie between floor(x(y0)) and ceil(x(y1)) (the other way round when
+    it runs toward lower columns), both exact integer divisions; only the
+    cells in that span are looked up in `unviable` and given the exact
+    `segment_enters_cell` test.  The span holds every cell whose interior the
+    segment can enter, so the answer is the same as testing every listed cell.
+    A horizontal segment on an odd doubled row runs along cell edges and is
+    never blocked.  Only listed cells block: a cell outside the grid is not
+    in `GridMap.unviable_cells()` and so counts as viable here, although
+    `GridMap.is_viable` calls it unviable.
+    """
+    if p > q:
+        p, q = q, p
+    pr, pc = p
+    qr, qc = q
+    dy, dx = qr - pr, qc - pc
+    if dy == 0:
+        if pr & 1:
+            return False
+        r = pr >> 1
+        for c in range((pc + 1) >> 1, (qc >> 1) + 1):
+            if (r, c) in unviable and segment_enters_cell(p, q, (r, c)):
                 return True
+        return False
+    # x(y) = pc + n / dy with n = (y - pr) * dx; n0 and n1 belong to the row's
+    # lower and upper slab bounds, clipped to the segment's own rows.
+    n0 = 0
+    for r in range((pr + 1) >> 1, (qr >> 1) + 1):
+        y1 = 2 * r + 1
+        n1 = ((y1 if y1 < qr else qr) - pr) * dx
+        if dx >= 0:
+            c_lo = (pc + n0 // dy + 1) >> 1
+            c_hi = (pc - (-n1 // dy)) >> 1
+        else:
+            c_lo = (pc + n1 // dy + 1) >> 1
+            c_hi = (pc - (-n0 // dy)) >> 1
+        for c in range(c_lo, c_hi + 1):
+            if (r, c) in unviable and segment_enters_cell(p, q, (r, c)):
+                return True
+        n0 = n1
     return False
 
 

@@ -31,8 +31,8 @@ class SearchConfig(object):
     beam_width: int = 64
 
     def __post_init__(self):
-        if not math.isfinite(self.r_c):
-            raise ValueError(f"r_c must be a finite number, got {self.r_c}")
+        if not (math.isfinite(self.r_c) and self.r_c > 0):
+            raise ValueError(f"r_c must be a finite number above 0, got {self.r_c}")
         if self.mode not in ("exhaustive", "beam"):
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.max_states < 1:

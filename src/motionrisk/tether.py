@@ -9,6 +9,7 @@ doubled-integer lattice and every blocking/orientation decision is exact.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,6 +68,26 @@ def start_tether(grid: GridMap, start: State, anchor: Optional[State] = None) ->
     return TetherState(anchor=anchor, head=start, chain=chain)
 
 
+def _swept_corners(grid: GridMap, q: DPoint, h_old: DPoint, n: DPoint) -> List[DPoint]:
+    """The convex corners other than q and n in the closed triangle (q, h_old, n).
+
+    `grid.convex_corners()` is sorted by row, then column, so bisection finds
+    the corners in the triangle's rows, and a column test keeps those in its
+    bounding box; only these get the exact `point_in_closed_triangle` test.
+    No point outside the bounding box lies in the closed triangle, a
+    degenerate (collinear) one included, so the list is that of a scan over
+    every corner, in the same order.
+    """
+    corners = grid.convex_corners()
+    r_lo, r_hi = min(q[0], h_old[0], n[0]), max(q[0], h_old[0], n[0])
+    c_lo, c_hi = min(q[1], h_old[1], n[1]), max(q[1], h_old[1], n[1])
+    return [
+        v
+        for v in corners[bisect_left(corners, (r_lo,)): bisect_left(corners, (r_hi + 1,))]
+        if c_lo <= v[1] <= c_hi and v != q and v != n and point_in_closed_triangle(v, q, h_old, n)
+    ]
+
+
 def _funnel_insert(
     grid: GridMap, q: DPoint, h_old: DPoint, n: DPoint
 ) -> List[DPoint]:
@@ -74,16 +95,11 @@ def _funnel_insert(
 
     The swept region of a straight head motion is the triangle (q, h_old, n);
     the band settles on the shortest corner chain from q to n inside it.  The
-    candidate corners are the map's own `grid.convex_corners()`, built once
-    per map, that lie in that closed triangle.
+    candidate corners are those of `_swept_corners`, in the map's corner
+    order, so the Dijkstra below breaks ties the same way on every map.
     """
     unviable = grid.unviable_cells()
-    candidates = [
-        v
-        for v in grid.convex_corners()
-        if v != q and v != n and point_in_closed_triangle(v, q, h_old, n)
-    ]
-    nodes = [q] + candidates + [n]
+    nodes = [q] + _swept_corners(grid, q, h_old, n) + [n]
     best: Dict[DPoint, Tuple[float, Tuple[DPoint, ...]]] = {}
     heap = [(0.0, (q,))]
     while heap:

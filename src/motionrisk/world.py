@@ -174,8 +174,8 @@ class Path(object):
         object.__setattr__(self, "states", tuple(self.states))
         if len(self.states) < 1:
             raise PathValidationError("a path needs at least one state", 0)
-        if not math.isfinite(self.r_c):
-            raise ValueError(f"r_c must be a finite number, got {self.r_c}")
+        if not (math.isfinite(self.r_c) and self.r_c > 0):
+            raise ValueError(f"r_c must be a finite number above 0, got {self.r_c}")
 
     def __len__(self) -> int:
         return len(self.states)

@@ -248,6 +248,18 @@ def test_a_non_finite_rc_is_a_usage_error(run, tmp_path, value):
     assert (code, out) == (2, "") and "--rc" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_a_non_positive_rc_is_a_usage_error(run, value):
+    # before: plan blamed its budget (exit 5) and eval blamed the path (exit 4)
+    corridor = ["--map", str(FIXTURES / "corridor.map"),
+                "--config", str(FIXTURES / "corridor.config.json")]
+    code, out, err = run("eval", *corridor, "--path", str(FIXTURES / "straight.path"),
+                         "--rc", value)
+    assert (code, out) == (2, "") and "--rc" in err
+    code, out, err = run("plan", *corridor, "--start", "1,1", "--goal", "2,2", "--rc", value)
+    assert (code, out) == (2, "") and "--rc" in err
+
+
 # ---------------------------------------------------------------------------
 # compare
 

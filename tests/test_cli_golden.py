@@ -65,6 +65,7 @@ def _cases():
     yield ["eval", "--map", "pillar_courtyard.map", "--config", "corridor.map", "--path", LEFT]
     yield ["plan", *COURTYARD, "--start", "2", "--goal", "9,10"]
     yield ["plan", *COURTYARD, "--start", "2,2", "--goal", "9,10", "--max-states", "0"]
+    yield ["plan", *COURTYARD, "--start", "2,2", "--goal", "9,10", "--rc", "0"]
     yield ["simulate", *COURTYARD, "--path", LEFT, "--trials", "0"]
 
 

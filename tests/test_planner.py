@@ -51,6 +51,12 @@ def test_search_config_rejects_a_non_finite_r_c(r_c):
         SearchConfig(State(0, 0), State(1, 1), r_c=r_c)
 
 
+@pytest.mark.parametrize("r_c", [0.0, -1.5])
+def test_search_config_rejects_a_non_positive_r_c(r_c):
+    with pytest.raises(ValueError, match="r_c must be a finite number above 0"):
+        SearchConfig(State(0, 0), State(1, 1), r_c=r_c)
+
+
 def test_a_huge_r_c_builds_moves_for_the_grid_diagonal_only(monkeypatch):
     grid, elements = fixture_map("corridor.map"), fixture_elements("corridor.config.json")
     diagonal = math.hypot(grid.n_rows - 1, grid.n_cols - 1)

@@ -14,6 +14,9 @@ from motionrisk import (
     tether_for_prefix,
 )
 
+from motionrisk.grid_geometry import point_in_closed_triangle
+from motionrisk.tether import _swept_corners
+
 from conftest import random_grid, random_walk
 from oracles import (
     canonical_chain,
@@ -230,8 +233,9 @@ def _sweep_case(seed, with_anchor):
     return g, punct, walk, anchor
 
 
-def _assert_matches_oracle(g, punct, prefix, anchor):
+def _assert_matches_oracle(g, punct, prefix, anchor, folded):
     tet = tether_for_prefix(g, prefix, anchor=anchor)
+    assert tet == folded
     check_tether(g, tet)
 
     a = anchor if anchor is not None else prefix[0]
@@ -250,14 +254,25 @@ def _assert_matches_oracle(g, punct, prefix, anchor):
     assert tet.taut_length == pytest.approx(want_len, abs=1e-9)
 
 
+def _fold_steps(g, walk, anchor):
+    """The tether after every step of the walk, each step's chain checked."""
+    tet = start_tether(g, walk[0], anchor=anchor)
+    check_tether(g, tet)
+    yield tet
+    for s in walk[1:]:
+        tet = advance_tether(g, tet, s)
+        check_tether(g, tet)
+        yield tet
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_tether_matches_shortest_homotopic_chain(seed):
     case = _sweep_case(24000 + seed, with_anchor=False)
     if case is None:
         pytest.skip("degenerate map")
     g, punct, walk, anchor = case
-    for i in range(len(walk)):
-        _assert_matches_oracle(g, punct, walk[: i + 1], anchor)
+    for i, tet in enumerate(_fold_steps(g, walk, anchor)):
+        _assert_matches_oracle(g, punct, walk[: i + 1], anchor, tet)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -266,5 +281,46 @@ def test_tether_matches_oracle_with_remote_anchor(seed):
     if case is None:
         pytest.skip("degenerate map")
     g, punct, walk, anchor = case
-    for i in range(len(walk)):
-        _assert_matches_oracle(g, punct, walk[: i + 1], anchor)
+    for i, tet in enumerate(_fold_steps(g, walk, anchor)):
+        _assert_matches_oracle(g, punct, walk[: i + 1], anchor, tet)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fold_steps_keep_the_chain_invariants_on_larger_maps(seed):
+    rng = random.Random(61000 + seed)
+    g = random_grid(rng, rng.randint(10, 20), rng.randint(10, 20),
+                    p_block=rng.uniform(0.05, 0.25))
+    unviable = g.unviable_cells()
+
+    def clear(a, b):
+        return not seg_blocked((2 * a[0], 2 * a[1]), (2 * b[0], 2 * b[1]), unviable)
+
+    walk = random_walk(g, rng, n_steps=60, clear_step=clear)
+    for i, tet in enumerate(_fold_steps(g, walk, None)):
+        assert tet.head == walk[i]
+
+
+# ---------------------------------------------------------------------------
+# Funnel candidates
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_swept_corners_equal_the_full_corner_scan(seed):
+    rng = random.Random(67000 + seed)
+    g = random_grid(rng, rng.randint(2, 20), rng.randint(2, 20),
+                    p_block=rng.uniform(0.05, 0.3))
+    corners = g.convex_corners()
+    centres = [(2 * r, 2 * c) for r in range(g.n_rows) for c in range(g.n_cols)]
+    anchors = centres + list(corners)
+    for _ in range(200):
+        q = rng.choice(anchors)
+        h_old = rng.choice(centres)
+        n = rng.choice(centres)
+        triples = [(q, h_old, n)]
+        # a degenerate sweep: h_old on the line through q and n
+        k = rng.randint(-2, 2)
+        triples.append((q, (n[0] + k * (n[0] - q[0]), n[1] + k * (n[1] - q[1])), n))
+        for a, b, c in triples:
+            want = [v for v in corners
+                    if v != a and v != c and point_in_closed_triangle(v, a, b, c)]
+            assert _swept_corners(g, a, b, c) == want, (a, b, c)

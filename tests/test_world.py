@@ -302,6 +302,12 @@ def test_path_rejects_a_non_finite_r_c(r_c):
         Path((State(0, 0), State(0, 9)), r_c=r_c)
 
 
+@pytest.mark.parametrize("r_c", [0.0, -1.0])
+def test_path_rejects_a_non_positive_r_c(r_c):
+    with pytest.raises(ValueError, match="r_c must be a finite number above 0"):
+        Path((State(0, 0), State(0, 1)), r_c=r_c)
+
+
 def test_arc_length_left_route(courtyard_left):
     # four diagonal steps and seven axis steps
     assert courtyard_left.arc_length() == pytest.approx(7 + 4 * SQ2)
