@@ -8,8 +8,8 @@ then its tail rows, floats to 4 decimals; table the same body with floats to
 
 Exit codes: 0 success; 2 usage, a non-finite or non-positive --rc included;
 3 unreadable or malformed input file, a map given a non-finite or
-non-positive --cell-size included; 4 semantically invalid input; 5 no
-feasible plan.
+non-positive --cell-size included; 4 semantically invalid input, a config
+with no locale element for the additive baseline included; 5 no feasible plan.
 """
 
 from __future__ import annotations
@@ -192,6 +192,12 @@ def _scored_tether(grid: GridMap, path: Path, elements) -> TetherState:
         raise _CliError(EXIT_VALIDATION, str(exc))
 
 
+def _require_locale(elements) -> None:
+    """The additive baseline scores locale elements only: a config without one exits 4."""
+    if not any(e.category is RiskCategory.LOCALE for e in elements):
+        raise _CliError(EXIT_VALIDATION, "config has no locale elements for the additive baseline")
+
+
 def _locale_columns(matrix: RiskMatrix) -> RiskMatrix:
     keep = [k for k, cat in enumerate(matrix.categories) if cat is RiskCategory.LOCALE]
     return RiskMatrix(
@@ -242,8 +248,7 @@ def cmd_compare(args) -> Output:
         raise _CliError(EXIT_USAGE, "compare needs at least two --path files")
     paths = [_parsed(name, lambda text: parse_path_text(text, r_c=args.rc), ValueError)
              for name in args.path]
-    if not any(e.category is RiskCategory.LOCALE for e in elements):
-        raise _CliError(EXIT_VALIDATION, "config has no locale elements for the additive baseline")
+    _require_locale(elements)
     rows = []
     for name, path in zip(args.path, paths):
         report = _evaluated(grid, path, elements, name)
@@ -280,6 +285,8 @@ def cmd_plan(args) -> Output:
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
     additive = args.planner == "additive"
+    if additive:
+        _require_locale(elements)
     result = (plan_additive_baseline if additive else plan_min_risk)(grid, elements, config)
     if not result.feasible:
         # A plain sentence: through the csv writer a reason with a comma gains quotes.

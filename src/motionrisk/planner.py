@@ -1,10 +1,11 @@
 """Planning: minimize full-history path risk, or the additive locale baseline.
 
-Path risk is history-dependent (tether elements see the whole prefix), so the
-principle of optimality fails and the risk planner cannot merge prefixes by
-state like Dijkstra.  Risk still never falls as a prefix grows, so the
-exhaustive mode is a uniform-cost search over prefixes instead of states: the
-first goal prefix it pops is optimal.
+Both planners run one search core, `_plan`.  Path risk is history-dependent
+(tether elements see the whole prefix), so the principle of optimality fails
+and the risk planner cannot merge prefixes by state like Dijkstra.  Risk still
+never falls as a prefix grows, so the exhaustive mode is a uniform-cost search
+over prefixes: the first goal prefix it pops is optimal.  The additive cost is
+history-free, so the same search merges prefixes by (last cell, length).
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .compose import RowFold, evaluate_path
+from .compose import RowFold, additive_path_cost, evaluate_path, evaluate_risk_matrix
 from .elements import RiskCategory, RiskElement
 from .world import GridMap, Path, State
 
@@ -76,13 +78,12 @@ def _row_log_finish(row: Sequence[float]) -> float:
     return total
 
 
-def _neighbors(grid: GridMap, s: State, moves) -> List[State]:
-    out = []
-    for dr, dc in moves:
-        r, c = s.row + dr, s.col + dc
-        if grid.is_viable(r, c):
-            out.append(State(r, c))
-    return out
+def _logged(fold_fn):
+    """A RowFold start or step that gives its row's log finish probability."""
+    def term(*args):
+        carry, row = fold_fn(*args)
+        return carry, _row_log_finish(row)
+    return term
 
 
 def _steps_lower_bound(a: State, b: State, reach: int) -> int:
@@ -96,10 +97,48 @@ def _risk(log_finish: float) -> float:
     return 1.0 - math.exp(log_finish)
 
 
-# A prefix under search: (trail of (row, col) cells, fold carry, log finish).
+# A prefix under search: (trail of (row, col) cells, objective carry, value).
 Trail = Tuple[Tuple[int, int], ...]
 Prefix = Tuple[Trail, object, float]
 Children = Callable[[Trail, object, float], Iterator[Prefix]]
+
+
+def _plan(grid: GridMap, config: SearchConfig, first, step, report, search, reason) -> PlanResult:
+    """Endpoint and move checks, then search(root, children, goal cell).  first(state)
+    and step(carry, state) give (carry, term), a prefix's value sums its states'
+    terms, and report(path) gives the plan's objective."""
+    for s in (config.start, config.goal):
+        if not grid.is_viable(s.row, s.col):
+            return PlanResult(False, None, None, f"endpoint ({s.row}, {s.col}) is not viable")
+    moves, reach = _moves_and_reach(grid, config.r_c)
+    if not moves and config.start != config.goal:
+        return PlanResult(False, None, None, f"r_c={config.r_c} allows no move between cells")
+    table = {}  # cell -> its viable moves: (cell, State, fewest states to the goal)
+
+    def children(trail: Trail, carry, value: float) -> Iterator[Prefix]:
+        """Every simple one-step extension that can still reach the goal in time."""
+        budget = config.max_states - len(trail)
+        if budget < 1:
+            return
+        here = trail[-1]
+        if here not in table:
+            table[here] = []
+            for dr, dc in moves:
+                nxt = State(here[0] + dr, here[1] + dc)
+                if grid.is_viable(nxt.row, nxt.col):
+                    need = 1 + _steps_lower_bound(nxt, config.goal, reach)
+                    table[here].append((nxt.as_tuple(), nxt, need))
+        for cell, nxt, need in table[here]:
+            if need <= budget and cell not in trail:
+                new_carry, term = step(carry, nxt)
+                yield trail + (cell,), new_carry, value + term
+
+    carry0, value0 = first(config.start)
+    trail = search(((config.start.as_tuple(),), carry0, value0), children, config.goal.as_tuple())
+    if trail is None:
+        return PlanResult(False, None, None, reason)
+    path = Path(tuple(State(*cell) for cell in trail), r_c=config.r_c)
+    return PlanResult(True, path, report(path))
 
 
 def plan_min_risk(
@@ -113,69 +152,51 @@ def plan_min_risk(
     smaller paths.  Its memory grows with the frontier of open prefixes.
     Beam mode keeps the best beam_width prefixes per length instead.
     """
-    for s in (config.start, config.goal):
-        if not grid.is_viable(s.row, s.col):
-            return PlanResult(False, None, None, f"endpoint ({s.row}, {s.col}) is not viable")
     fold = RowFold(grid, elements)
-    moves, reach = _moves_and_reach(grid, config.r_c)
-
-    def children(trail: Trail, carry, log_finish: float) -> Iterator[Prefix]:
-        """Every simple one-step extension that can still reach the goal in time."""
-        budget = config.max_states - len(trail)
-        if budget < 1:
-            return
-        for nxt in _neighbors(grid, State(*trail[-1]), moves):
-            cell = nxt.as_tuple()
-            if cell in trail or 1 + _steps_lower_bound(nxt, config.goal, reach) > budget:
-                continue
-            new_carry, row = fold.step(carry, nxt)
-            yield trail + (cell,), new_carry, log_finish + _row_log_finish(row)
-
-    carry0, row0 = fold.start(config.start)
-    root = ((config.start.as_tuple(),), carry0, _row_log_finish(row0))
-    goal = config.goal.as_tuple()
     if config.mode == "beam":
-        trail = _beam(root, children, goal, config.beam_width)
+        search = partial(_beam, width=config.beam_width)
         reason = "beam search found no path within max_states"
     else:
-        trail = _best_first(root, children, goal)
+        search = partial(_best_first, key=_risk, merge=False)
         reason = "no path to the goal within max_states"
-    if trail is None:
-        return PlanResult(False, None, None, reason)
-    path = Path(tuple(State(*cell) for cell in trail), r_c=config.r_c)
-    return PlanResult(True, path, evaluate_path(grid, path, elements).risk)
+    return _plan(grid, config, _logged(fold.start), _logged(fold.step),
+                 lambda path: evaluate_path(grid, path, elements).risk, search, reason)
 
 
-def _best_first(root: Prefix, children: Children, goal: Tuple[int, int]) -> Optional[Trail]:
-    """Uniform-cost search over prefixes, keyed (risk, length, trail).
+def _best_first(root: Prefix, children: Children, goal: Tuple[int, int],
+                key: Callable[[float], float], merge: bool) -> Optional[Trail]:
+    """Uniform-cost search over prefixes, keyed (key(value), length, trail).
 
-    Appending a state multiplies the finish probability by a factor in
-    [0, 1], so risk never falls as a prefix grows, and a longer prefix sorts
-    after its own prefixes.  The first goal prefix popped is therefore the
-    minimum of the key over all goal paths, ties included.  A simple path
-    cannot revisit the goal, so goal prefixes are never extended, and a child
-    strictly riskier than a goal prefix already pushed cannot win, so it is
-    not pushed: the frontier holds only prefixes that may still win.
+    Appending a state never lowers the key (risk, or a sum of non-negative
+    costs), and a longer prefix sorts after its own prefixes, so the first goal
+    prefix popped is the minimum of the key over all goal paths, ties included.
+    Goal prefixes are never extended (a simple path cannot revisit the goal),
+    and a child keyed above a goal prefix already pushed cannot win.  With
+    `merge`, for a history-free cost only, just the first prefix popped per
+    (last cell, length) is extended.
     """
-    heap = [(_risk(root[2]), 1) + root]
-    goal_risk = math.inf  # of the cheapest goal prefix pushed so far
+    heap = [(key(root[2]), 1) + root]
+    goal_key = math.inf  # of the cheapest goal prefix pushed so far
+    expanded = set()  # (last cell, length) of the prefixes extended, when merging
     while heap:
-        _, _, trail, carry, log_finish = heapq.heappop(heap)
+        _, length, trail, carry, value = heapq.heappop(heap)
         if trail[-1] == goal:
             return trail
-        for child in children(trail, carry, log_finish):
-            risk = _risk(child[2])
-            if risk > goal_risk:
+        if merge:
+            if (trail[-1], length) in expanded:
+                continue
+            expanded.add((trail[-1], length))
+        for child in children(trail, carry, value):
+            child_key = key(child[2])
+            if child_key > goal_key:
                 continue
             if child[0][-1] == goal:
-                goal_risk = risk
-            heapq.heappush(heap, (risk, len(child[0])) + child)
+                goal_key = child_key
+            heapq.heappush(heap, (child_key, len(child[0])) + child)
     return None
 
 
-def _beam(
-    root: Prefix, children: Children, goal: Tuple[int, int], width: int
-) -> Optional[Trail]:
+def _beam(root: Prefix, children: Children, goal: Tuple[int, int], width: int) -> Optional[Trail]:
     """Length-layered beam: keep the width lowest-risk prefixes per length."""
     frontier = [root]
     done: List[Tuple] = []
@@ -197,49 +218,27 @@ def plan_additive_baseline(
     config: SearchConfig,
     weights: Optional[Dict[str, float]] = None,
 ) -> PlanResult:
-    """Minimize the summed locale cost with uniform-cost search.
+    """Minimize the summed locale cost with the same best-first search.
 
-    Additivity makes the per-state cost history-free, so a layered Dijkstra
-    over (state, steps-used) is exact, max_states cap included.
+    Additivity makes the per-state cost history-free, so prefixes are merged
+    by (last cell, length): a layered Dijkstra over (state, steps-used), exact
+    with the max_states cap, and with the same tie rule as plan_min_risk.
+    mode and beam_width are ignored.  The reported cost is additive_path_cost
+    of the plan's locale matrix, as `compare` computes it.
     """
     locale = [e for e in elements if e.category is RiskCategory.LOCALE]
     if not locale:
         return PlanResult(False, None, None, "additive baseline needs at least one locale element")
-    for s in (config.start, config.goal):
-        if not grid.is_viable(s.row, s.col):
-            return PlanResult(False, None, None, f"endpoint ({s.row}, {s.col}) is not viable")
-    w = {e.name: 1.0 for e in locale}
-    if weights:
-        for name, value in weights.items():
-            if value < 0:
-                return PlanResult(False, None, None, "weights must be non-negative")
-            if name in w:
-                w[name] = float(value)
-    cost_cache: Dict[State, float] = {}
+    weights = weights or {}
+    if any(value < 0 for value in weights.values()):
+        return PlanResult(False, None, None, "weights must be non-negative")
+    w = {e.name: float(weights.get(e.name, 1.0)) for e in locale}
 
-    def state_cost(s: State) -> float:
-        if s not in cost_cache:
-            cost_cache[s] = sum(w[e.name] * e.evaluate(grid, (s,)) for e in locale)
-        return cost_cache[s]
+    @lru_cache(maxsize=None)
+    def state_cost(carry: None, s: State) -> Tuple[None, float]:
+        return None, sum(w[e.name] * e.evaluate(grid, (s,)) for e in locale)
 
-    moves, reach = _moves_and_reach(grid, config.r_c)
-    heap = [(state_cost(config.start), 1, (config.start.as_tuple(),), config.start)]
-    seen = set()
-    while heap:
-        cost, used, trail, s = heapq.heappop(heap)
-        if (s, used) in seen:
-            continue
-        seen.add((s, used))
-        if s == config.goal:
-            path = Path(tuple(State(r, c) for r, c in trail), r_c=config.r_c)
-            return PlanResult(True, path, cost)
-        budget = config.max_states - used
-        for nxt in _neighbors(grid, s, moves):
-            if nxt.as_tuple() in trail:
-                continue
-            if 1 + _steps_lower_bound(nxt, config.goal, reach) > budget:
-                continue
-            heapq.heappush(
-                heap, (cost + state_cost(nxt), used + 1, trail + (nxt.as_tuple(),), nxt)
-            )
-    return PlanResult(False, None, None, "no path to the goal within max_states")
+    return _plan(grid, config, partial(state_cost, None), state_cost,
+                 lambda path: additive_path_cost(evaluate_risk_matrix(grid, path, locale), w),
+                 partial(_best_first, key=lambda cost: cost, merge=True),
+                 "no path to the goal within max_states")

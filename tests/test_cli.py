@@ -381,6 +381,25 @@ def test_plan_infeasible_exits_5(run):
     assert doc["feasible"] is False and "max_states" in doc["reason"]
 
 
+def test_plan_with_a_step_radius_below_one_names_it(run):
+    # no budget could help, so the reason names the step radius
+    corridor = ["--map", str(FIXTURES / "corridor.map"),
+                "--config", str(FIXTURES / "corridor.config.json")]
+    code, out, err = run("plan", *corridor, "--start", "1,1", "--goal", "2,2", "--rc", "0.5")
+    assert (code, out, err) == (5, "infeasible: r_c=0.5 allows no move between cells\n", "")
+
+
+def test_plan_additive_without_a_locale_element_exits_4_like_compare(run):
+    # a config fault, not an infeasible plan: the exit code and message of compare
+    anchored = ["--map", MAP, "--config", str(FIXTURES / "pillar_courtyard_anchored.config.json")]
+    code, out, err = run("plan", *anchored, "--start", "2,2", "--goal", "9,10",
+                         "--planner", "additive")
+    assert (code, out) == (4, "") and "no locale elements" in err
+    assert run("compare", *anchored, "--path", LEFT, "--path", RIGHT)[::2] == (code, err)
+    code, out, _ = run("plan", *anchored, "--start", "2,2", "--goal", "3,3", "--format", "json")
+    assert code == 0 and json.loads(out)["feasible"]  # the risk planner needs no locale element
+
+
 def test_plan_a_1200_state_corridor(run, tmp_path):
     corridor = tmp_path / "corridor.map"
     corridor.write_text("." * 1200 + "\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from motionrisk import (
+    GridMap,
     Path,
     RiskCategory,
     RiskMatrix,
@@ -21,7 +22,7 @@ from motionrisk import (
 )
 from motionrisk import compose, elements as elements_module, planner as planner_module
 
-from conftest import count_calls, fixture_map, fixture_elements, random_grid
+from conftest import FIXTURES, count_calls, fixture_map, fixture_elements, random_grid
 from oracles import all_simple_paths, prefix_risk_matrix
 
 
@@ -131,6 +132,18 @@ def test_start_equals_goal(pocket):
     assert res.risk == 0.0
 
 
+@pytest.mark.parametrize("plan", [plan_min_risk, plan_additive_baseline])
+def test_a_step_radius_below_one_allows_no_move(pocket, plan):
+    grid, els = pocket
+    for mode in ("exhaustive", "beam"):
+        res = plan(grid, els, SearchConfig(State(0, 0), State(1, 1), r_c=0.5, mode=mode))
+        assert (res.feasible, res.path, res.risk) == (False, None, None)
+        assert res.reason == "r_c=0.5 allows no move between cells"
+    # no move is needed to stay put
+    res = plan(grid, els, SearchConfig(State(4, 0), State(4, 0), r_c=0.5, max_states=1))
+    assert res.feasible and [s.as_tuple() for s in res.path.states] == [(4, 0)]
+
+
 # ---------------------------------------------------------------------------
 # Pocket map: frozen optima
 
@@ -192,22 +205,27 @@ def _constant_element(value):
          "mapping": {"kind": "piecewise-linear", "knots": [[1.0, value]]}}]}))
 
 
-def test_ties_prefer_shorter_then_lexicographic():
+# The additive baseline merges prefixes by (last cell, length); the merge
+# must keep the same winner.
+@pytest.mark.parametrize("plan", [plan_min_risk, plan_additive_baseline])
+def test_ties_prefer_shorter_then_lexicographic(plan):
     grid = load_map("....\n....\n....\n")
     # all states risk-free: every path ties at zero, so length decides, and a
     # lexicographically smaller but longer path must lose
-    res = plan_min_risk(grid, _constant_element(0.0),
-                        SearchConfig(State(0, 0), State(2, 3), max_states=6))
+    res = plan(grid, _constant_element(0.0),
+               SearchConfig(State(0, 0), State(2, 3), max_states=6))
     assert res.risk == 0.0
     assert [s.as_tuple() for s in res.path.states] == [(0, 0), (0, 1), (1, 2), (2, 3)]
 
 
-def test_equal_risk_same_length_falls_to_order():
+@pytest.mark.parametrize("plan, objective", [
+    (plan_min_risk, 1.0 - 0.75 ** 4), (plan_additive_baseline, 4 * 0.25)])
+def test_equal_risk_same_length_falls_to_order(plan, objective):
     grid = load_map("....\n....\n....\n")
-    # constant per-state risk: all four-state routes have identical products
-    res = plan_min_risk(grid, _constant_element(0.25),
-                        SearchConfig(State(0, 0), State(2, 3), max_states=6))
-    assert res.risk == pytest.approx(1.0 - 0.75 ** 4, rel=1e-12)
+    # constant per-state risk: all four-state routes have identical products and sums
+    res = plan(grid, _constant_element(0.25),
+               SearchConfig(State(0, 0), State(2, 3), max_states=6))
+    assert res.risk == pytest.approx(objective, rel=1e-12)
     assert [s.as_tuple() for s in res.path.states] == [(0, 0), (0, 1), (1, 2), (2, 3)]
 
 
@@ -384,6 +402,54 @@ def test_additive_matches_brute_enumeration(seed):
     assert res.risk == pytest.approx(min(costs), rel=1e-11, abs=1e-12)
     assert cost([s.as_tuple() for s in res.path.states]) == pytest.approx(
         res.risk, rel=1e-11, abs=1e-12)
+
+
+def test_additive_objective_is_the_additive_path_cost_of_the_plan():
+    # The objective is additive_path_cost of the plan's locale matrix, the
+    # number `compare` prints, not the search's running sum, which can differ
+    # from it in the last bits.
+    rng = random.Random(7900)
+    els = load_elements(json.dumps({"elements": [
+        {"name": "obstacle_distance", "mapping": {"kind": "piecewise-linear",
+         "knots": [[1.0, 0.05], [1.5, 0.03], [2.0, 0.011], [3.0, 0.0]]}},
+        {"name": "visibility", "radius": 3.0, "ray_count": 16, "mapping": {
+            "kind": "piecewise-linear", "knots": [[0.0, 0.07], [0.6, 0.013], [1.0, 0.001]]}},
+        {"name": "turn", "coeff": 0.03}]}))
+    locale = [e for e in els if e.category is RiskCategory.LOCALE]
+    feasible = 0
+    for i in range(60):
+        grid = random_grid(rng, rng.randint(4, 10), rng.randint(4, 10), p_block=0.15)
+        viable = [(r, c) for r in range(grid.n_rows) for c in range(grid.n_cols)
+                  if grid.is_viable(r, c)]
+        if len(viable) < 2:
+            continue
+        start, goal = rng.sample(viable, 2)
+        weights = {e.name: rng.uniform(0.2, 3.0) for e in locale} if i % 2 else None
+        config = SearchConfig(State(*start), State(*goal), r_c=rng.choice([1.0, 1.5, 2.3]),
+                              max_states=rng.randint(3, 12))
+        res = plan_additive_baseline(grid, els, config, weights=weights)
+        if res.feasible:
+            feasible += 1
+            matrix = compose.evaluate_risk_matrix(grid, res.path, locale)
+            assert res.risk == compose.additive_path_cost(matrix, weights)
+    assert feasible >= 20
+
+
+@pytest.mark.parametrize("plan, mode", [
+    (plan_min_risk, "exhaustive"), (plan_min_risk, "beam"), (plan_additive_baseline, "exhaustive")])
+def test_each_cell_lists_its_moves_once_per_plan(monkeypatch, courtyard_grid, plan, mode):
+    doc = json.loads((FIXTURES / "pillar_courtyard.config.json").read_text())
+    doc["elements"] = [e for e in doc["elements"] if not e["name"].startswith("tether")]
+    els = load_elements(json.dumps(doc))
+    grid = courtyard_grid
+    n_viable = sum(grid.is_viable(r, c) for r in range(grid.n_rows) for c in range(grid.n_cols))
+    counts = {"viable": 0}
+    count_calls(monkeypatch, GridMap, "is_viable", counts, "viable")
+    config = SearchConfig(State(2, 2), State(9, 10), max_states=12, mode=mode)
+    assert plan(grid, els, config).feasible
+    # two endpoint checks, eight king moves per expanded cell, and the final
+    # validate_path of the plan's states
+    assert counts["viable"] <= 2 + 8 * n_viable + config.max_states
 
 
 # ---------------------------------------------------------------------------
