@@ -1,0 +1,8 @@
+"""`python -m motionrisk`: the command line interface, no installed script needed."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

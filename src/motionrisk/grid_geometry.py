@@ -12,7 +12,10 @@ does not block.
 from __future__ import annotations
 
 import math
-from typing import FrozenSet, Tuple
+from typing import TYPE_CHECKING, Tuple
+
+if TYPE_CHECKING:
+    from .world import GridMap
 
 DPoint = Tuple[int, int]  # doubled coordinates: (2*row, 2*col)
 FPoint = Tuple[float, float]
@@ -69,33 +72,27 @@ def segment_enters_cell(p: DPoint, q: DPoint, cell: Tuple[int, int]) -> bool:
     return lo_n * hi_d < hi_n * lo_d
 
 
-def segment_blocked(p: DPoint, q: DPoint, unviable: FrozenSet[Tuple[int, int]]) -> bool:
-    """True when the segment crosses the interior of any listed unviable cell.
+def segment_blocked(p: DPoint, q: DPoint, grid: "GridMap") -> bool:
+    """True when the segment crosses the interior of an unviable cell of `grid`.
 
-    Walks the cell rows the segment spans, from its lower-row end.  In row r the
-    segment stays within the doubled rows [y0, y1] of that row's slab, so its
-    columns lie between floor(x(y0)) and ceil(x(y1)) (the other way round when
-    it runs toward lower columns), both exact integer divisions; only the
-    cells in that span are looked up in `unviable` and given the exact
-    `segment_enters_cell` test.  The span holds every cell whose interior the
-    segment can enter, so the answer is the same as testing every listed cell.
-    A horizontal segment on an odd doubled row runs along cell edges and is
-    never blocked.  Only listed cells block: a cell outside the grid is not
-    in `GridMap.unviable_cells()` and so counts as viable here, although
-    `GridMap.is_viable` calls it unviable.
+    Reads the map's viable bytes, as `GridMap.is_viable` does, so a cell
+    beyond the grid edge counts as unviable here too.  Walks the cell rows the
+    segment spans, from its lower-row end.  In row r the segment stays within
+    the doubled rows [y0, y1] of that row's slab, so its columns lie between
+    floor(x(y0)) and ceil(x(y1)) (the other way round when it runs toward
+    lower columns), both exact integer divisions; only the unviable cells in
+    that span are given the exact `segment_enters_cell` test.  The span holds
+    every cell whose interior the segment can enter, so the answer is the
+    same as testing every unviable cell.  A horizontal segment on an odd
+    doubled row runs along cell edges and is never blocked.
     """
+    cells, n_rows, n_cols = grid.viable_bytes, grid.n_rows, grid.n_cols
     if p > q:
         p, q = q, p
     pr, pc = p
     qr, qc = q
     dy, dx = qr - pr, qc - pc
-    if dy == 0:
-        if pr & 1:
-            return False
-        r = pr >> 1
-        for c in range((pc + 1) >> 1, (qc >> 1) + 1):
-            if (r, c) in unviable and segment_enters_cell(p, q, (r, c)):
-                return True
+    if dy == 0 and pr & 1:
         return False
     # x(y) = pc + n / dy with n = (y - pr) * dx; n0 and n1 belong to the row's
     # lower and upper slab bounds, clipped to the segment's own rows.
@@ -103,14 +100,18 @@ def segment_blocked(p: DPoint, q: DPoint, unviable: FrozenSet[Tuple[int, int]]) 
     for r in range((pr + 1) >> 1, (qr >> 1) + 1):
         y1 = 2 * r + 1
         n1 = ((y1 if y1 < qr else qr) - pr) * dx
-        if dx >= 0:
+        if dy == 0:
+            c_lo, c_hi = (pc + 1) >> 1, qc >> 1
+        elif dx >= 0:
             c_lo = (pc + n0 // dy + 1) >> 1
             c_hi = (pc - (-n1 // dy)) >> 1
         else:
             c_lo = (pc + n1 // dy + 1) >> 1
             c_hi = (pc - (-n0 // dy)) >> 1
+        in_rows, base = 0 <= r < n_rows, r * n_cols
         for c in range(c_lo, c_hi + 1):
-            if (r, c) in unviable and segment_enters_cell(p, q, (r, c)):
+            if (not (in_rows and 0 <= c < n_cols and cells[base + c])
+                    and segment_enters_cell(p, q, (r, c))):
                 return True
         n0 = n1
     return False

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .compose import RowFold, additive_path_cost, evaluate_path, evaluate_risk_matrix
 from .elements import RiskCategory, RiskElement
-from .world import GridMap, Path, State
+from .world import GridMap, Path, State, step_blocked
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def _plan(grid: GridMap, config: SearchConfig, first, step, report, search, reas
     moves, reach = _moves_and_reach(grid, config.r_c)
     if not moves and config.start != config.goal:
         return PlanResult(False, None, None, f"r_c={config.r_c} allows no move between cells")
-    table = {}  # cell -> its viable moves: (cell, State, fewest states to the goal)
+    table = {}  # cell -> its free moves: (cell, State, fewest states to the goal)
 
     def children(trail: Trail, carry, value: float) -> Iterator[Prefix]:
         """Every simple one-step extension that can still reach the goal in time."""
@@ -123,9 +123,10 @@ def _plan(grid: GridMap, config: SearchConfig, first, step, report, search, reas
         here = trail[-1]
         if here not in table:
             table[here] = []
+            origin = State(*here)
             for dr, dc in moves:
                 nxt = State(here[0] + dr, here[1] + dc)
-                if grid.is_viable(nxt.row, nxt.col):
+                if grid.is_viable(nxt.row, nxt.col) and not step_blocked(grid, origin, nxt):
                     need = 1 + _steps_lower_bound(nxt, config.goal, reach)
                     table[here].append((nxt.as_tuple(), nxt, need))
         for cell, nxt, need in table[here]:

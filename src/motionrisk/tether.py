@@ -20,7 +20,7 @@ from .grid_geometry import (
     point_in_closed_triangle,
     segment_blocked,
 )
-from .world import GridMap, State
+from .world import GridMap, State, step_blocked
 
 
 class TetherError(ValueError):
@@ -62,7 +62,7 @@ def start_tether(grid: GridMap, start: State, anchor: Optional[State] = None) ->
         if not grid.is_viable(s.row, s.col):
             raise TetherError(f"tether endpoint ({s.row}, {s.col}) must be viable")
     a_d, s_d = _state_d(anchor), _state_d(start)
-    if a_d != s_d and segment_blocked(a_d, s_d, grid.unviable_cells()):
+    if a_d != s_d and segment_blocked(a_d, s_d, grid):
         raise TetherError("anchor must have line of sight to the first state")
     chain = (a_d, s_d) if a_d != s_d else (a_d,)
     return TetherState(anchor=anchor, head=start, chain=chain)
@@ -97,12 +97,13 @@ def _funnel_insert(
     the band settles on the shortest corner chain from q to n inside it.  The
     candidate corners are those of `_swept_corners`, in the map's corner
     order, so the Dijkstra below breaks ties the same way on every map.
+    A chain always exists: the last chain segment q->h_old is free by the
+    chain invariant, and the head step h_old->n by `step_blocked`.
     """
-    unviable = grid.unviable_cells()
     nodes = [q] + _swept_corners(grid, q, h_old, n) + [n]
     best: Dict[DPoint, Tuple[float, Tuple[DPoint, ...]]] = {}
     heap = [(0.0, (q,))]
-    while heap:
+    while True:
         d, path = heapq.heappop(heap)
         node = path[-1]
         if node in best and best[node] <= (d, path):
@@ -113,29 +114,24 @@ def _funnel_insert(
         for v in nodes:
             if v == node or (v in best and v != n):
                 continue
-            if segment_blocked(node, v, unviable):
+            if segment_blocked(node, v, grid):
                 continue
             cand = (d + euclid(node, v), path + (v,))
             if v not in best or cand < best[v]:
                 heapq.heappush(heap, cand)
-    # Every corner the band can catch on during a straight sweep lies in the
-    # closed triangle, so reaching this point means the head motion itself cut
-    # through unviable space.
-    raise TetherError(
-        f"no taut chain for head motion {h_old}->{n}; the step crosses unviable cells"
-    )
 
 
 def advance_tether(grid: GridMap, tether: TetherState, s_next: State) -> TetherState:
     """One head step: slide off straightened corners, wrap newly blocking ones."""
     if not grid.is_viable(s_next.row, s_next.col):
         raise TetherError(f"tether head ({s_next.row}, {s_next.col}) must be viable")
+    if step_blocked(grid, tether.head, s_next):
+        raise TetherError(f"head step into {s_next.as_tuple()} crosses unviable cells")
     n = _state_d(s_next)
     orig = list(tether.chain)
     h_old = orig[-1]
     if n == h_old:
         return tether
-    unviable = grid.unviable_cells()
     body = orig[:-1]  # anchor plus contacts
     if not body:
         body = [h_old]  # degenerate: anchor == head
@@ -146,15 +142,14 @@ def advance_tether(grid: GridMap, tether: TetherState, s_next: State) -> TetherS
     while len(body) >= 2:
         c, p = body[-1], body[-2]
         sigma = cross(p, c, orig[len(body)])
-        if sigma * cross(p, c, n) <= 0 and not segment_blocked(p, n, unviable):
+        if sigma * cross(p, c, n) <= 0 and not segment_blocked(p, n, grid):
             body.pop()
         else:
             break
 
     q = body[-1]
-    if q != n and segment_blocked(q, n, unviable):
+    if q != n and segment_blocked(q, n, grid):
         body.extend(_funnel_insert(grid, q, h_old, n))
-        q = body[-1]
 
     new_chain = tuple(body) + ((n,) if n != body[-1] else ())
     return TetherState(anchor=tether.anchor, head=s_next, chain=new_chain)
@@ -175,7 +170,6 @@ def tether_for_prefix(
 
 def check_tether(grid: GridMap, tether: TetherState) -> None:
     """Assert the chain invariants; raises TetherError on violation."""
-    unviable = grid.unviable_cells()
     corners = set(grid.convex_corners())
     chain = tether.chain
     if chain[0] != _state_d(tether.anchor):
@@ -186,5 +180,5 @@ def check_tether(grid: GridMap, tether: TetherState) -> None:
         if v not in corners:
             raise TetherError(f"contact {v} is not a convex corner of the unviable set")
     for a, b in zip(chain, chain[1:]):
-        if segment_blocked(a, b, unviable):
+        if segment_blocked(a, b, grid):
             raise TetherError(f"chain segment {a}->{b} crosses an unviable cell")

@@ -9,7 +9,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .grid_geometry import DPoint, segment_enters_cell_f
+from .grid_geometry import DPoint, segment_blocked, segment_enters_cell_f
 
 VIABLE_CHAR = "."
 UNVIABLE_CHAR = "#"
@@ -42,11 +42,10 @@ class GridMap(object):
     """Immutable 2D occupancy grid; True in `viable` marks free cells.
 
     The map owns every table derived from its grid, all declared here:
-    `n_rows`, `n_cols` and a row-major byte per cell (1 = viable) are built
-    at once and answer `in_bounds`/`is_viable`.  The unviable-cell set, the
-    convex corners, the distance field and the visibility memo stay empty
-    until `unviable_cells()`, `convex_corners()`, `distance_field()` or
-    `visibility_at()` first needs them.
+    `n_rows`, `n_cols` and `viable_bytes` (a row-major byte per cell, 1 =
+    viable, read by `is_viable` and every segment test) are built at once.
+    The convex corners, the distance field and the visibility memo stay empty
+    until `convex_corners()`, `distance_field()` or `visibility_at()` first needs them.
     """
 
     def __init__(self, viable: np.ndarray, cell_size: float = 1.0):
@@ -59,8 +58,7 @@ class GridMap(object):
         self._viable.setflags(write=False)
         self.cell_size = float(cell_size)
         self.n_rows, self.n_cols = arr.shape
-        self._viable_bytes = self._viable.tobytes()
-        self._unviable: Optional[frozenset] = None
+        self.viable_bytes = self._viable.tobytes()
         self._corners: Optional[Tuple[DPoint, ...]] = None
         self._dist_field: Optional[np.ndarray] = None
         self._visibility: Dict[Tuple[int, int, float, int], float] = {}
@@ -76,15 +74,8 @@ class GridMap(object):
         # Everything beyond the grid edge counts as unviable.
         return (
             0 <= row < self.n_rows and 0 <= col < self.n_cols
-            and self._viable_bytes[row * self.n_cols + col] == 1
+            and self.viable_bytes[row * self.n_cols + col] == 1
         )
-
-    def unviable_cells(self) -> frozenset:
-        """The (row, col) of every unviable cell."""
-        if self._unviable is None:
-            rs, cs = np.nonzero(~self._viable)
-            self._unviable = frozenset(zip(rs.tolist(), cs.tolist()))
-        return self._unviable
 
     def convex_corners(self) -> Tuple[DPoint, ...]:
         """Vertices a taut band can bend around, as sorted doubled (odd, odd) points.
@@ -206,8 +197,18 @@ class PathCheck(object):
     reason: str = ""
 
 
+def step_blocked(grid: GridMap, a: State, b: State) -> bool:
+    """True when the straight hop between two cells' centres crosses an unviable
+    cell.  A hop under 2 cells (a king move or a pause) can touch a lattice
+    vertex but enters no third cell, so it is free without a walk."""
+    dr, dc = b.row - a.row, b.col - a.col
+    if dr * dr + dc * dc < 4:
+        return False
+    return segment_blocked((2 * a.row, 2 * a.col), (2 * b.row, 2 * b.col), grid)
+
+
 def validate_path(grid: GridMap, path: Path) -> PathCheck:
-    """Check every state is viable and consecutive states sit within r_c."""
+    """Check every state is viable and every step is within r_c and free (step_blocked)."""
     for i, s in enumerate(path.states):
         if not grid.in_bounds(s.row, s.col):
             return PathCheck(False, i, f"state {i} at ({s.row}, {s.col}) is outside the grid")
@@ -220,6 +221,8 @@ def validate_path(grid: GridMap, path: Path) -> PathCheck:
             return PathCheck(
                 False, i, f"step into state {i} spans {gap:.3f} cells, exceeding r_c={path.r_c}"
             )
+        if step_blocked(grid, a, b):
+            return PathCheck(False, i, f"step into state {i} crosses an unviable cell")
     return PathCheck(True)
 
 

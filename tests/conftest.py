@@ -73,6 +73,12 @@ def random_grid(rng: random.Random, n_rows: int, n_cols: int, p_block: float,
             return GridMap(viable, cell_size=cell_size)
 
 
+def unviable_cells(grid: GridMap) -> frozenset:
+    """The (row, col) of every unviable cell, read off the map's viable array."""
+    rs, cs = np.nonzero(~grid.viable)
+    return frozenset(zip(rs.tolist(), cs.tolist()))
+
+
 KING_MOVES = [
     (dr, dc)
     for dr in (-1, 0, 1)

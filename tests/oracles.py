@@ -290,8 +290,29 @@ def serial_monte_carlo_failures(matrix, trials, seed, chunk=1 << 16):
 # Planner: plain enumeration of simple paths
 
 
-def all_simple_paths(is_viable, start, goal, max_states, r_c=1.5):
-    """Yield every simple path (tuple of (r, c)) from start to goal."""
+def step_clear_test(unviable):
+    """clear_step(a, b) for (row, col) cells: True when the segment between
+    their centres crosses none of the listed unviable cells (`seg_blocked`)."""
+    cells = sorted(unviable)
+    memo = {}
+
+    def clear_step(a, b):
+        key = (a, b) if a <= b else (b, a)
+        if key not in memo:
+            (ar, ac), (br, bc) = key
+            memo[key] = not seg_blocked((2 * ar, 2 * ac), (2 * br, 2 * bc), cells)
+        return memo[key]
+
+    return clear_step
+
+
+def all_simple_paths(grid, start, goal, max_states, r_c=1.5):
+    """Yield every simple path (tuple of (r, c)) from start to goal whose
+    steps land on viable cells and cross no unviable cell."""
+    viable = grid.viable.tolist()
+    n_rows, n_cols = len(viable), len(viable[0])
+    clear_step = step_clear_test(
+        (r, c) for r in range(n_rows) for c in range(n_cols) if not viable[r][c])
     reach = int(math.floor(r_c + 1e-9))
     moves = [
         (dr, dc)
@@ -309,7 +330,9 @@ def all_simple_paths(is_viable, start, goal, max_states, r_c=1.5):
             return
         for dr, dc in moves:
             nxt = (head[0] + dr, head[1] + dc)
-            if nxt in seen or not is_viable(*nxt):
+            if nxt in seen or not (0 <= nxt[0] < n_rows and 0 <= nxt[1] < n_cols):
+                continue
+            if not viable[nxt[0]][nxt[1]] or not clear_step(head, nxt):
                 continue
             path.append(nxt)
             seen.add(nxt)

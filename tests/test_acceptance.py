@@ -28,7 +28,9 @@ from motionrisk import (
 from motionrisk.cli import main
 from motionrisk.tether import check_tether, tether_for_prefix
 
-from conftest import fixture_elements, fixture_map, fixture_path, random_grid, random_walk
+from conftest import (
+    fixture_elements, fixture_map, fixture_path, random_grid, random_walk, unviable_cells,
+)
 from oracles import (
     all_simple_paths,
     brute_distance_field,
@@ -214,7 +216,7 @@ def test_criterion_7_oracle_equivalence_under_60s():
         rng = random.Random(83000 + seed)
         g = random_grid(rng, rng.randint(6, 16), rng.randint(6, 16),
                         p_block=rng.uniform(0.08, 0.2))
-        punct = sorted(g.unviable_cells())
+        punct = sorted(unviable_cells(g))
 
         def clear(a, b):
             return not seg_blocked((2 * a[0], 2 * a[1]), (2 * b[0], 2 * b[1]), punct)
@@ -260,7 +262,7 @@ def test_criterion_7_oracle_equivalence_under_60s():
         risks = [
             evaluate_path(
                 g, Path(tuple(State(r, c) for r, c in sts), r_c=1.5), elements).risk
-            for sts in all_simple_paths(g.is_viable, start, goal, max_states)
+            for sts in all_simple_paths(g, start, goal, max_states)
         ]
         res = plan_min_risk(
             g, elements, SearchConfig(State(*start), State(*goal), max_states=max_states))

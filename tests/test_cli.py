@@ -1,14 +1,17 @@
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 
 import pytest
 
 from motionrisk import State, load_map, render_svg, tether_for_prefix
 from motionrisk.cli import main, parse_path_text
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fixture_map, unviable_cells
+from oracles import step_clear_test
 
 MAP = str(FIXTURES / "pillar_courtyard.map")
 CONFIG = str(FIXTURES / "pillar_courtyard.config.json")
@@ -227,6 +230,18 @@ def test_eval_invalid_path_exits_4(run, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("config", ["pillar_courtyard", "pillar_courtyard_anchored", "corridor"])
+def test_eval_of_a_hop_across_the_pillar_exits_4(run, tmp_path, config):
+    # a knight hop within --rc 2.3 whose segment cuts the pillar, with tether
+    # elements (start-anchored or anchored at (1, 1)) and without any
+    knight = tmp_path / "knight.path"
+    knight.write_text("5 4\n6 6\n")
+    code, out, err = run("eval", "--map", MAP, "--config", str(FIXTURES / f"{config}.config.json"),
+                         "--path", str(knight), "--rc", "2.3", "--tether")
+    assert (code, out) == (4, "")
+    assert err == f"{knight}: step into state 1 crosses an unviable cell\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_a_non_finite_cell_size_names_the_map(run, value):
     code, out, err = run(
@@ -411,6 +426,16 @@ def test_plan_a_1200_state_corridor(run, tmp_path):
     assert doc["path"] == [[0, c] for c in range(1200)]
 
 
+def test_plan_with_hops_that_skip_a_cell_goes_round_the_pillar(run):
+    code, out, err = run(
+        "plan", "--map", MAP, "--config", CONFIG, "--start", "5,3", "--goal", "7,8",
+        "--rc", "2.3", "--max-states", "8", "--format", "json")
+    assert (code, err) == (0, "")
+    cells = [tuple(cell) for cell in json.loads(out)["path"]]
+    clear_step = step_clear_test(unviable_cells(fixture_map("pillar_courtyard.map")))
+    assert all(clear_step(a, b) for a, b in zip(cells, cells[1:])), cells
+
+
 def test_plan_blocked_endpoint_is_infeasible(run):
     code, out, _ = run(
         "plan", "--map", POCKET_MAP, "--config", POCKET_CONFIG,
@@ -496,6 +521,18 @@ def test_usage_errors_exit_2(run):
 def test_help_exits_0(run):
     code, out, err = run("--help")
     assert code == 0
+
+
+def test_python_m_motionrisk_runs_the_cli(run):
+    # no installed script needed: the package runs from its source tree
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    module = [sys.executable, "-m", "motionrisk"]
+    proc = subprocess.run([*module, "--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and "eval" in proc.stdout
+    argv = ["eval", "--map", MAP, "--config", CONFIG, "--path", LEFT, "--format", "json"]
+    proc = subprocess.run([*module, *argv], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run(*argv)[1]
 
 
 def test_console_script_is_installed():

@@ -22,8 +22,10 @@ from motionrisk import (
 )
 from motionrisk import compose, elements as elements_module, planner as planner_module
 
-from conftest import FIXTURES, count_calls, fixture_map, fixture_elements, random_grid
-from oracles import all_simple_paths, prefix_risk_matrix
+from conftest import (
+    FIXTURES, count_calls, fixture_map, fixture_elements, random_grid, unviable_cells,
+)
+from oracles import all_simple_paths, prefix_risk_matrix, step_clear_test
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +266,7 @@ def test_optimal_path_with_suboptimal_prefix():
     # and no completion of that cheaper prefix beats the planner's choice
     best_direct = min(
         evaluate_path(grid, Path(tuple(State(*t) for t in sts), r_c=1.5), els).risk
-        for sts in all_simple_paths(grid.is_viable, (1, 2), (1, 6), 6)
+        for sts in all_simple_paths(grid, (1, 2), (1, 6), 6)
         if tuple(sts[:2]) == ((1, 2), (1, 3))
     )
     assert best_direct == pytest.approx(0.960133888, rel=1e-12)
@@ -299,8 +301,21 @@ def _sweep_elements(rng):
     return load_elements(json.dumps(doc))
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_exhaustive_matches_brute_enumeration(seed):
+def _brute_cases(n_seeds, n_wide):
+    """(seed, r_c) cases: every seed at king moves, the first n_wide also at
+    r_c 2.3, where a hop can skip a cell and the step test decides."""
+    return ([pytest.param(seed, 1.5, id=str(seed)) for seed in range(n_seeds)]
+            + [pytest.param(seed, 2.3, id=f"{seed}-rc2.3") for seed in range(n_wide)])
+
+
+def _brute_budget(start, goal, r_c):
+    """One state more than the fewest a path needs (floor(r_c) cells per axis a step)."""
+    cheby = max(abs(start[0] - goal[0]), abs(start[1] - goal[1]))
+    return 2 + -(-cheby // math.floor(r_c))
+
+
+@pytest.mark.parametrize("seed, r_c", _brute_cases(40, 12))
+def test_exhaustive_matches_brute_enumeration(seed, r_c):
     rng = random.Random(7100 + seed)
     grid = random_grid(rng, rng.randint(4, 6), rng.randint(4, 6), p_block=0.15)
     viable = [(r, c) for r in range(grid.n_rows) for c in range(grid.n_cols)
@@ -316,16 +331,16 @@ def test_exhaustive_matches_brute_enumeration(seed):
             break
     if start is None:
         pytest.skip("no well-separated endpoint pair on this map")
-    max_states = max(abs(start[0] - goal[0]), abs(start[1] - goal[1])) + 2
+    max_states = _brute_budget(start, goal, r_c)
     els = _sweep_elements(rng)
 
     ranked = []
-    for sts in all_simple_paths(grid.is_viable, start, goal, max_states):
-        path = Path(tuple(State(r, c) for r, c in sts), r_c=1.5)
+    for sts in all_simple_paths(grid, start, goal, max_states, r_c=r_c):
+        path = Path(tuple(State(r, c) for r, c in sts), r_c=r_c)
         risk = evaluate_path(grid, path, els).risk
         ranked.append((risk, len(sts), tuple(sts)))
     res = plan_min_risk(
-        grid, els, SearchConfig(State(*start), State(*goal), max_states=max_states))
+        grid, els, SearchConfig(State(*start), State(*goal), r_c=r_c, max_states=max_states))
     if not ranked:
         assert not res.feasible
         return
@@ -373,8 +388,8 @@ def test_exhaustive_risk_never_rises_with_budget(seed):
                              range(fewest, fewest + 5), r_c=rng.choice([1.0, 1.5]))
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_additive_matches_brute_enumeration(seed):
+@pytest.mark.parametrize("seed, r_c", _brute_cases(8, 8))
+def test_additive_matches_brute_enumeration(seed, r_c):
     rng = random.Random(7700 + seed)
     grid = random_grid(rng, rng.randint(4, 6), rng.randint(4, 6), p_block=0.15)
     viable = [(r, c) for r in range(grid.n_rows) for c in range(grid.n_cols)
@@ -384,7 +399,7 @@ def test_additive_matches_brute_enumeration(seed):
     if not pairs:
         pytest.skip("no well-separated endpoint pair on this map")
     start, goal = pairs[rng.randrange(len(pairs))]
-    max_states = max(abs(start[0] - goal[0]), abs(start[1] - goal[1])) + 2
+    max_states = _brute_budget(start, goal, r_c)
     els = _sweep_elements(rng)
     locale = [e for e in els if e.category is RiskCategory.LOCALE]
 
@@ -392,9 +407,9 @@ def test_additive_matches_brute_enumeration(seed):
         return sum(e.evaluate(grid, (State(r, c),)) for r, c in sts for e in locale)
 
     costs = [cost(sts)
-             for sts in all_simple_paths(grid.is_viable, start, goal, max_states)]
+             for sts in all_simple_paths(grid, start, goal, max_states, r_c=r_c)]
     res = plan_additive_baseline(
-        grid, els, SearchConfig(State(*start), State(*goal), max_states=max_states))
+        grid, els, SearchConfig(State(*start), State(*goal), r_c=r_c, max_states=max_states))
     if not costs:
         assert not res.feasible
         return
@@ -432,6 +447,32 @@ def test_additive_objective_is_the_additive_path_cost_of_the_plan():
             feasible += 1
             matrix = compose.evaluate_risk_matrix(grid, res.path, locale)
             assert res.risk == compose.additive_path_cost(matrix, weights)
+    assert feasible >= 20
+
+
+@pytest.mark.parametrize("config", [
+    "pillar_courtyard.config.json", "pillar_courtyard_anchored.config.json"])
+def test_plans_with_hops_that_skip_a_cell_never_cross_the_pillar(courtyard_grid, config):
+    # r_c 2.3 lists hops past the pillar; the move table drops those that
+    # cross it, so no plan cuts a wall and no tether fold meets such a step.
+    els = fixture_elements(config)
+    clear_step = step_clear_test(unviable_cells(courtyard_grid))
+    viable = [(r, c) for r in range(12) for c in range(12) if courtyard_grid.is_viable(r, c)]
+    # the anchored config's anchor must see the start
+    starts = [cell for cell in viable if clear_step((1, 1), cell)]
+    rng = random.Random(7950)
+    feasible = 0
+    for _ in range(16):
+        start, goal = rng.choice(starts), rng.choice(viable)
+        for plan, mode in [(plan_min_risk, "exhaustive"), (plan_min_risk, "beam"),
+                           (plan_additive_baseline, "exhaustive")]:
+            config = SearchConfig(State(*start), State(*goal), r_c=2.3,
+                                  max_states=rng.choice([5, 6]), mode=mode)
+            res = plan(courtyard_grid, els, config)
+            if res.feasible:
+                feasible += 1
+                cells = [s.as_tuple() for s in res.path]
+                assert all(clear_step(a, b) for a, b in zip(cells, cells[1:])), cells
     assert feasible >= 20
 
 

@@ -10,6 +10,7 @@ from motionrisk import (
     advance_tether,
     check_tether,
     load_map,
+    moves_within,
     start_tether,
     tether_for_prefix,
 )
@@ -17,12 +18,12 @@ from motionrisk import (
 from motionrisk.grid_geometry import point_in_closed_triangle
 from motionrisk.tether import _swept_corners
 
-from conftest import random_grid, random_walk
+from conftest import random_grid, random_walk, unviable_cells
 from oracles import (
     canonical_chain,
     crossing_word,
-    seg_blocked,
     shortest_homotopic_chain,
+    step_clear_test,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -212,12 +213,9 @@ def _sweep_case(seed, with_anchor):
     rng = random.Random(seed)
     g = random_grid(rng, rng.randint(3, 8), rng.randint(3, 8),
                     p_block=rng.uniform(0.08, 0.35))
-    punct = sorted(g.unviable_cells())
-
-    def clear(a, b):
-        return not seg_blocked((2 * a[0], 2 * a[1]), (2 * b[0], 2 * b[1]), punct)
-
-    walk = random_walk(g, rng, n_steps=rng.randint(4, 12), clear_step=clear)
+    punct = sorted(unviable_cells(g))
+    clear_step = step_clear_test(punct)
+    walk = random_walk(g, rng, n_steps=rng.randint(4, 12), clear_step=clear_step)
     if walk is None or len(walk) < 2:
         return None
     anchor = None
@@ -226,8 +224,7 @@ def _sweep_case(seed, with_anchor):
             (r, c)
             for r in range(g.n_rows)
             for c in range(g.n_cols)
-            if g.is_viable(r, c)
-            and not seg_blocked((2 * r, 2 * c), (2 * walk[0].row, 2 * walk[0].col), punct)
+            if g.is_viable(r, c) and clear_step((r, c), walk[0].as_tuple())
         ]
         anchor = State(*rng.choice(options))
     return g, punct, walk, anchor
@@ -290,14 +287,39 @@ def test_fold_steps_keep_the_chain_invariants_on_larger_maps(seed):
     rng = random.Random(61000 + seed)
     g = random_grid(rng, rng.randint(10, 20), rng.randint(10, 20),
                     p_block=rng.uniform(0.05, 0.25))
-    unviable = g.unviable_cells()
-
-    def clear(a, b):
-        return not seg_blocked((2 * a[0], 2 * a[1]), (2 * b[0], 2 * b[1]), unviable)
-
-    walk = random_walk(g, rng, n_steps=60, clear_step=clear)
+    walk = random_walk(g, rng, n_steps=60, clear_step=step_clear_test(unviable_cells(g)))
     for i, tet in enumerate(_fold_steps(g, walk, None)):
         assert tet.head == walk[i]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_head_steps_fold_exactly_when_they_cross_no_unviable_cell(seed):
+    # Hops up to r_c 3.2 between viable cells: one that crosses an unviable
+    # cell is refused at once, any other folds to a chain check_tether accepts.
+    rng = random.Random(64000 + seed)
+    g = random_grid(rng, rng.randint(4, 10), rng.randint(4, 10), p_block=rng.uniform(0.05, 0.35))
+    clear_step = step_clear_test(unviable_cells(g))
+    viable = [(r, c) for r in range(g.n_rows) for c in range(g.n_cols) if g.is_viable(r, c)]
+    counts = {True: 0, False: 0}
+    for r_c in (1.5, 2.3, 3.2):
+        here = rng.choice(viable)
+        tet = start_tether(g, State(*here))
+        for _ in range(30):
+            hops = [(here[0] + dr, here[1] + dc) for dr, dc in moves_within(r_c)]
+            hops = [cell for cell in hops if g.is_viable(*cell)]
+            if not hops:
+                break
+            nxt = rng.choice(hops)
+            free = clear_step(here, nxt)
+            counts[free] += 1
+            if free:
+                tet = advance_tether(g, tet, State(*nxt))
+                check_tether(g, tet)
+                here = nxt
+            else:
+                with pytest.raises(TetherError, match="head step .* crosses unviable cells"):
+                    advance_tether(g, tet, State(*nxt))
+    assert counts[True] > 0 and counts[False] > 0
 
 
 # ---------------------------------------------------------------------------

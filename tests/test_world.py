@@ -9,6 +9,7 @@ from motionrisk import (
     GridMap,
     MapFormatError,
     Path,
+    PathCheck,
     PathValidationError,
     SearchConfig,
     State,
@@ -26,7 +27,7 @@ from motionrisk import (
     visibility_fraction,
 )
 
-from conftest import fixture_map, random_grid
+from conftest import fixture_map, random_grid, unviable_cells
 from oracles import (
     brute_distance_field,
     oracle_pivot_vertices,
@@ -56,7 +57,7 @@ def test_courtyard_layout(courtyard_grid):
     assert not g.is_viable(11, 7)
     assert not g.is_viable(6, 5)
     assert g.is_viable(6, 4)
-    assert len(g.unviable_cells()) == 4 * 12 - 4 + 1
+    assert len(unviable_cells(g)) == 4 * 12 - 4 + 1
 
 
 def test_load_map_rejects_ragged_rows():
@@ -171,7 +172,7 @@ def test_convex_corners_equal_the_pivot_oracle():
         n_rows, n_cols = shapes[k] if k < len(shapes) else (rng.randint(1, 14), rng.randint(1, 14))
         p_block = [0.0, 1.0][k % 2] if k < 2 * len(shapes) else rng.uniform(0.0, 0.7)
         g = GridMap(_seeded_viable(rng, n_rows, n_cols, p_block))
-        want = sorted(oracle_pivot_vertices(g.unviable_cells(), n_rows, n_cols))
+        want = sorted(oracle_pivot_vertices(unviable_cells(g), n_rows, n_cols))
         assert list(g.convex_corners()) == want, (n_rows, n_cols)
         assert g.convex_corners() is g.convex_corners()
 
@@ -197,7 +198,6 @@ def test_the_map_keeps_only_its_declared_tables():
     check_tether(g, tether_for_prefix(g, states))
     assert set(vars(g)) == declared
     assert g.distance_field() is g.distance_field()
-    assert g.unviable_cells() is g.unviable_cells()
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +341,22 @@ def test_validate_path_flags_long_step(courtyard_grid):
     assert "r_c" in check.reason
     # the same hop is fine once the adjacency radius allows it
     assert validate_path(courtyard_grid, Path((State(2, 2), State(2, 4)), r_c=2.0)).ok
+
+
+@pytest.mark.parametrize("hop, r_c", [
+    ((State(5, 5), State(7, 5)), 2.0),  # straight over the pillar
+    ((State(5, 4), State(6, 6)), 2.3),  # a knight hop clipping it
+])
+def test_validate_path_flags_a_step_across_the_pillar(courtyard_grid, hop, r_c):
+    check = validate_path(courtyard_grid, Path(hop, r_c=r_c))
+    assert check == PathCheck(False, 1, "step into state 1 crosses an unviable cell")
+
+
+def test_validate_path_allows_a_squeeze_through_a_pinch_vertex():
+    g = load_map(".#.\n#..\n...\n")
+    assert validate_path(g, Path((State(0, 0), State(1, 1)))).ok
+    # a longer hop through the same vertex enters no unviable cell either
+    assert validate_path(g, Path((State(0, 0), State(2, 2)), r_c=3.0)).ok
 
 
 def test_validate_path_allows_revisits_and_pauses(courtyard_grid):
