@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,52 +95,96 @@ class RowFold(object):
     """Evaluates a path one state at a time from a carried summary of its prefix.
 
     The carry is (tethers, recent).  `tethers` holds one TetherState per
-    distinct anchor among the elements' tether readers, advanced once per
-    state and read by every element with that anchor.  `recent` holds the
-    states the other elements see: the widest window their categories'
-    history_depth allows, or the whole prefix when one of them (a traverse
-    element without a tether reader) may see it all.  RiskElement.evaluate
-    cuts each category's window from it, so every entry equals evaluating the
-    element on the full prefix.
+    distinct anchor among the elements' tether readers; every element with
+    that anchor reads it.  `recent` holds the states the other elements see:
+    the widest window their categories' history_depth allows, or the whole
+    prefix when one of them (a traverse element without a tether reader) may
+    see it all.  Each element's own window of it is fixed when the fold is
+    built, so every entry equals evaluating the element on the full prefix.
+
+    Prefixes that share a tether and a next cell share its advance.  For its
+    lifetime the fold keeps a transition table, from (anchor slot, chain, row,
+    col) to the advanced TetherState and the hazards of the slot's readers,
+    and a table of each cell's locale risks.  So each distinct (anchor, chain,
+    next cell) is advanced and read once per fold.  The slot is in the key
+    because two anchors can give equal chains (an anchor of None and one at
+    the first state) with different readers.  Build one fold per path or plan;
+    its tables go with it.
     """
 
     def __init__(self, grid: GridMap, elements: Sequence[RiskElement]):
         self.grid = grid
         self.elements = tuple(elements)
         anchors: List[Optional[State]] = []
-        slots: List[Optional[int]] = []
-        for el in self.elements:
-            if el.tether is None:
-                slots.append(None)
-                continue
-            if el.tether.anchor not in anchors:
-                anchors.append(el.tether.anchor)
-            slots.append(anchors.index(el.tether.anchor))
+        readers: List[List[int]] = []  # per anchor slot, its elements' indices
+        locale: List[int] = []
+        windowed: List[int] = []
+        for k, el in enumerate(self.elements):
+            if el.tether is not None:
+                if el.tether.anchor not in anchors:
+                    anchors.append(el.tether.anchor)
+                    readers.append([])
+                readers[anchors.index(el.tether.anchor)].append(k)
+            elif el.category is RiskCategory.LOCALE:
+                locale.append(k)
+            else:
+                windowed.append(k)
+        els = self.elements
         self._anchors = tuple(anchors)
-        self._slots = tuple(slots)
-        depths = [el.category.history_depth for el in self.elements if el.tether is None]
+        # Per anchor slot, its readers' hazards; per locale and windowed
+        # element, its fn and window.  Each value is checked to lie in [0, 1].
+        self._readers = tuple(tuple((els[k].tether.hazard, els[k].checked) for k in r)
+                              for r in readers)
+        self._locale = tuple((els[k].fn, els[k].checked) for k in locale)
+        self._windowed = tuple((els[k].fn, els[k].checked, els[k].window) for k in windowed)
+        # A row is built as the locale risks, the windowed risks, then each
+        # slot's hazards; _order puts it back in element order, if need be.
+        built = locale + windowed + [k for r in readers for k in r]
+        perm = sorted(range(len(built)), key=built.__getitem__)
+        self._order = None if built == sorted(built) else itemgetter(*perm)
+        depths = [els[k].category.history_depth for k in windowed]
         # The latest states `recent` keeps, the new one included: the widest
         # window of an element that reads it, or all of them.
         self._window = slice(None) if None in depths else slice(-1 - max(depths, default=0), None)
+        self._moves: Dict[Tuple, Tuple[TetherState, List[float]]] = {}
+        self._cells: Dict[Tuple[int, int], List[float]] = {}
 
-    def start(self, s0: State) -> Tuple[Carry, List[float]]:
+    def start(self, s0: State) -> Tuple[Carry, Sequence[float]]:
         tethers = tuple(start_tether(self.grid, s0, anchor=a) for a in self._anchors)
-        return self._row(tethers, (s0,))
+        hazards = [h for slot, tet in enumerate(tethers) for h in self._read(slot, tet)]
+        return self._row(tethers, hazards, (s0,), s0)
 
-    def step(self, carry: Carry, s: State) -> Tuple[Carry, List[float]]:
+    def step(self, carry: Carry, s: State) -> Tuple[Carry, Sequence[float]]:
         tethers, recent = carry
-        tethers = tuple(advance_tether(self.grid, tet, s) for tet in tethers)
-        return self._row(tethers, (recent + (s,))[self._window])
+        moves = self._moves
+        moved: List[TetherState] = []
+        hazards: List[float] = []
+        for slot, tet in enumerate(tethers):
+            key = (slot, tet.chain, s.row, s.col)
+            hit = moves.get(key)
+            if hit is None:
+                tet = advance_tether(self.grid, tet, s)
+                hit = moves[key] = (tet, self._read(slot, tet))
+            moved.append(hit[0])
+            hazards += hit[1]
+        return self._row(tuple(moved), hazards, (recent + (s,))[self._window], s)
+
+    def _read(self, slot: int, tether: TetherState) -> List[float]:
+        """The hazards the readers of an anchor slot take from its tether."""
+        return [check(hazard(self.grid, tether)) for hazard, check in self._readers[slot]]
 
     def _row(
-        self, tethers: Tuple[TetherState, ...], recent: Tuple[State, ...]
-    ) -> Tuple[Carry, List[float]]:
+        self, tethers: Tuple[TetherState, ...], hazards: List[float],
+        recent: Tuple[State, ...], s: State,
+    ) -> Tuple[Carry, Sequence[float]]:
         grid = self.grid
-        row = [
-            el.evaluate(grid, recent) if slot is None else el.read_tether(grid, tethers[slot])
-            for el, slot in zip(self.elements, self._slots)
-        ]
-        return (tethers, recent), row
+        cell = (s.row, s.col)
+        row = self._cells.get(cell)
+        if row is None:
+            row = self._cells[cell] = [check(fn(grid, (s,))) for fn, check in self._locale]
+        row = row + [check(fn(grid, recent[w])) for fn, check, w in self._windowed]
+        row += hazards
+        return (tethers, recent), row if self._order is None else self._order(row)
 
 
 def evaluate_risk_matrix(
@@ -148,7 +193,8 @@ def evaluate_risk_matrix(
     """Evaluate every element on every prefix of a validated path.
 
     Entry (i, k) sees only the history its element's category permits.  The
-    rows come from one RowFold pass, so each tether is advanced once per state.
+    rows come from one RowFold pass, so each tether is advanced at most once
+    per state.
     """
     if not elements:
         raise ValueError("at least one risk element is required")
@@ -247,6 +293,11 @@ def _require_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+# The most doubles one block of trials draws at once: a worker's buffer stays
+# at 2 MB however many entries the matrix has.
+BLOCK_DRAWS = 1 << 18
+
+
 def monte_carlo_risk(
     matrix: RiskMatrix, trials: int, seed: int, chunk: int = 1 << 13
 ) -> MonteCarloResult:
@@ -256,7 +307,8 @@ def monte_carlo_risk(
     Only nonzero entries consume draws.  With n nonzero entries in row-major
     order, trial t compares entry j with double t*n + j of PCG64(seed), the
     stream of numpy.random.default_rng(seed).  Trials are cut into blocks of
-    `chunk` rows; each block jumps a copy of the seeded generator ahead to its
+    `chunk` rows, and of fewer when a block would hold more than BLOCK_DRAWS
+    doubles; each block jumps a copy of the seeded generator ahead to its
     first double (PCG64.advance, O(log n)), so blocks run on up to one thread
     per usable CPU and the failures are identical for any chunk and CPU count.
     """
@@ -274,6 +326,7 @@ def monte_carlo_risk(
 
 def _count_failures(probs: np.ndarray, trials: int, seed: int, chunk: int) -> int:
     n = probs.size
+    chunk = min(chunk, max(1, BLOCK_DRAWS // n))
     origin = np.random.PCG64(seed).state
     starts = range(0, trials, chunk)
     workers = min(_usable_cpus(), len(starts))

@@ -121,22 +121,27 @@ class RiskElement(object):
         if (self.fn is None) == (self.tether is None):
             raise ValueError(f"element {self.name!r} needs exactly one of fn and a tether reader")
 
+    @property
+    def window(self) -> slice:
+        """The latest states of a prefix that `fn` sees: the current one and
+        history_depth before it, or all of them."""
+        depth = self.category.history_depth
+        return slice(None) if depth is None else slice(-(depth + 1), None)
+
     def evaluate(self, grid: GridMap, prefix: Sequence[State]) -> float:
         states = tuple(prefix)
         if not states:
             raise ValueError("prefix must contain at least the current state")
-        depth = self.category.history_depth
-        if depth is not None:
-            return self._checked(self.fn(grid, states[-(depth + 1):]))
         if self.tether is not None:
             return self.read_tether(grid, tether_for_prefix(grid, states, self.tether.anchor))
-        return self._checked(self.fn(grid, states))
+        return self.checked(self.fn(grid, states[self.window]))
 
     def read_tether(self, grid: GridMap, tether: TetherState) -> float:
         """The hazard of the tether reader on the taut tether of the prefix."""
-        return self._checked(self.tether.hazard(grid, tether))
+        return self.checked(self.tether.hazard(grid, tether))
 
-    def _checked(self, value: float) -> float:
+    def checked(self, value: float) -> float:
+        """`value`, or a ValueError naming the element when it leaves [0, 1]."""
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"element {self.name!r} produced {value} outside [0, 1]")
         return value

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,6 +446,19 @@ def test_monte_carlo_equals_the_serial_stream(monkeypatch, cpus):
         want = serial_monte_carlo_failures(matrix, trials, seed)
         assert mc.failures == want, (i, matrix.values.tolist(), trials, seed, chunk)
         assert (mc.trials, mc.seed, mc.estimate) == (trials, seed, want / trials)
+
+
+def test_monte_carlo_block_buffer_is_bounded():
+    # 2,500 nonzero entries: blocks of the default 8,192 rows would be 164 MB each.
+    matrix = _matrix([[0.001] * 5] * 500)
+    tracemalloc.start()
+    try:
+        mc = monte_carlo_risk(matrix, 20_000, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert mc.failures == serial_monte_carlo_failures(matrix, 20_000, 5, chunk=64)
 
 
 def test_monte_carlo_golden_counts(left_report):

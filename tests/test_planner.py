@@ -13,6 +13,7 @@ from motionrisk import (
     SearchConfig,
     State,
     evaluate_path,
+    evaluate_risk_matrix,
     load_elements,
     load_map,
     moves_within,
@@ -510,22 +511,65 @@ def _two_tether_config(second_anchor):
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "beam"])
-@pytest.mark.parametrize("second_anchor, advances_per_step", [(None, 1), ([9, 2], 2)])
-def test_planner_advances_each_anchor_once_per_expansion(
-        monkeypatch, courtyard_grid, mode, second_anchor, advances_per_step):
+@pytest.mark.parametrize("second_anchor, slots", [(None, 1), ([9, 2], 2)])
+def test_planner_advances_each_tether_transition_once_per_fold(
+        monkeypatch, courtyard_grid, mode, second_anchor, slots):
+    # Every (anchor, chain, next cell) a fold's steps ask for is advanced
+    # exactly once by that fold, however many prefixes share it.
     els = _two_tether_config(second_anchor)
-    counts = {"step": 0, "advance": 0, "refold": 0}
-    count_calls(monkeypatch, compose.RowFold, "step", counts, "step")
-    count_calls(monkeypatch, compose, "advance_tether", counts, "advance")
+    asked, advanced = [], []
+    counts = {"step": 0, "refold": 0}
+    real_step, real_advance = compose.RowFold.step, compose.advance_tether
+    current = []
+
+    def step(fold, carry, s):
+        counts["step"] += 1
+        asked.extend((fold, tet.anchor, tet.chain, s) for tet in carry[0])
+        current.append(fold)
+        try:
+            return real_step(fold, carry, s)
+        finally:
+            current.pop()
+
+    def advance(grid, tether, s):
+        advanced.append((current[-1], tether.anchor, tether.chain, s))
+        return real_advance(grid, tether, s)
+
+    monkeypatch.setattr(compose.RowFold, "step", step)
+    monkeypatch.setattr(compose, "advance_tether", advance)
     count_calls(monkeypatch, elements_module, "tether_for_prefix", counts, "refold")
     res = plan_min_risk(courtyard_grid, els,
                         SearchConfig(State(2, 2), State(9, 10), max_states=10, mode=mode))
     assert res.feasible
     assert counts["step"] > len(res.path)
-    assert counts["advance"] == advances_per_step * counts["step"]
+    assert len(advanced) == len(set(advanced))
+    assert set(advanced) == set(asked)
+    assert len(advanced) < slots * counts["step"]
     assert counts["refold"] == 0
 
     assert res.risk == evaluate_path(courtyard_grid, res.path, els).risk
+    oracle = RiskMatrix(tuple(e.name for e in els), tuple(e.category for e in els),
+                        np.array(prefix_risk_matrix(courtyard_grid, res.path, els)))
+    assert res.risk == path_risk(oracle)
+
+
+def test_an_anchor_at_the_first_state_is_read_apart_from_the_default_anchor(
+        courtyard_grid, courtyard_left):
+    # An anchor of None and an explicit anchor at the first state give equal
+    # chains, but each has its own readers: the fold must not serve one
+    # slot's hazards to the other.
+    first, last = courtyard_left.states[0], courtyard_left.states[-1]
+    els = load_elements(json.dumps({"elements": [
+        {"name": "tether_length", "coeff": 0.01},
+        {"name": "turn", "coeff": 0.02},
+        {"name": "tether_contacts", "per_contact": 0.05, "anchor": list(first.as_tuple())},
+    ]}))
+    got = evaluate_risk_matrix(courtyard_grid, courtyard_left, els)
+    assert got.values.tolist() == prefix_risk_matrix(courtyard_grid, courtyard_left, els)
+    assert got.column("tether_length").tolist() != got.column("tether_contacts").tolist()
+
+    res = plan_min_risk(courtyard_grid, els, SearchConfig(first, last, max_states=10))
+    assert res.feasible
     oracle = RiskMatrix(tuple(e.name for e in els), tuple(e.category for e in els),
                         np.array(prefix_risk_matrix(courtyard_grid, res.path, els)))
     assert res.risk == path_risk(oracle)
